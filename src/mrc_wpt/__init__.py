@@ -42,7 +42,6 @@ from .circuit import (
     solve_oracle,
 )
 from .distributed import (
-    AgentState,
     BatchSummary,
     Case,
     NoFeasibleTrialsError,
@@ -51,7 +50,6 @@ from .distributed import (
     ProtocolTrace,
     StepRecord,
     TrialResult,
-    agent_states,
     agent_step,
     batch_run,
     classify_position,
@@ -93,8 +91,6 @@ __all__ = [
     # distributed
     "Case",
     "PeakPosition",
-    "AgentState",
-    "agent_states",
     "ProtocolConfig",
     "StepRecord",
     "ProtocolTrace",

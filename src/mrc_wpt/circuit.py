@@ -73,9 +73,8 @@ def _finite(value: float) -> bool:
 class TransmitterSpec:
     """Driven coil: source voltage (magnitude/phase), coil resistance, self-inductance.
 
-    The series compensation capacitance is derived from the operating
-    frequency (see :meth:`SystemScenario.resonance_capacitances`) and is not
-    stored here.
+    The series compensation capacitance is implied by the operating
+    frequency (``c = 1 / (l_tx * w**2)``) and is not stored here.
     """
 
     v_mag: float
@@ -93,10 +92,6 @@ class TransmitterSpec:
     def v_tx(self) -> complex:
         """Complex source voltage phasor."""
         return cmath.rect(self.v_mag, self.v_phase)
-
-    @classmethod
-    def from_complex(cls, v_tx: complex, r_tx: float, l_tx: float) -> "TransmitterSpec":
-        return cls(v_mag=abs(v_tx), r_tx=r_tx, l_tx=l_tx, v_phase=cmath.phase(v_tx))
 
 
 @dataclass(frozen=True)
@@ -156,11 +151,6 @@ class SystemScenario:
         """Number of receivers."""
         return len(self.receivers)
 
-    def resonance_capacitances(self) -> tuple[float, tuple[float, ...]]:
-        """Series capacitances (transmitter, receivers) that tune every coil to ``w``."""
-        w2 = self.w * self.w
-        return 1.0 / (self.tx.l_tx * w2), tuple(1.0 / (rec.l * w2) for rec in self.receivers)
-
 
 @dataclass(frozen=True)
 class LoadVector:
@@ -181,25 +171,6 @@ class LoadVector:
 
     def __getitem__(self, k: int) -> float:
         return self.x[k]
-
-    def within_bounds(self, scenario: SystemScenario) -> bool:
-        """True when every entry lies inside its receiver's [x_min, x_max]."""
-        if len(self.x) != scenario.n:
-            return False
-        return all(
-            rec.x_min <= v <= rec.x_max for rec, v in zip(scenario.receivers, self.x)
-        )
-
-    def require_bounds(self, scenario: SystemScenario) -> None:
-        if len(self.x) != scenario.n:
-            raise ScenarioError(
-                f"load vector has {len(self.x)} entries, scenario has {scenario.n} receivers"
-            )
-        for k, (rec, v) in enumerate(zip(scenario.receivers, self.x)):
-            _require(
-                rec.x_min <= v <= rec.x_max,
-                f"x[{k}]={v} outside [{rec.x_min}, {rec.x_max}]",
-            )
 
 
 @dataclass(frozen=True)

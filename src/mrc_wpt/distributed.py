@@ -17,12 +17,11 @@ hypothetical measurements and may leave the bounds (only staying positive).
 A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
-Implementation note: the power expressions in the step engine mirror
-``circuit.solve_closed_form`` operation for operation, so simulated
-measurements, recorded traces, and replay verification all agree to the
-bit.  The engine body is container-agnostic (plain lists or float64
-arrays), which lets ``batch_run`` execute it under numba when available and
-fall back to interpreted Python otherwise.
+Implementation note: ``_trial_engine`` is the one simulator of the
+protocol.  ``batch_run`` runs it bare and ``run_protocol`` runs it with a
+step recorder.  Its power expressions mirror ``circuit.solve_closed_form``
+operation for operation, so simulated measurements, recorded traces, and the
+scalar replay of ``agent_step``/``verify_trace`` all agree to the bit.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from .circuit import (
 __all__ = [
     "Case",
     "PeakPosition",
-    "AgentState",
-    "agent_states",
     "ProtocolConfig",
     "StepRecord",
     "ProtocolTrace",
@@ -83,36 +80,14 @@ class PeakPosition(enum.Enum):
 
 
 class NoFeasibleTrialsError(RuntimeError):
-    """Every trial of a batch ended with some demand unmet."""
+    """Every trial of a batch ended with some demand unmet.
 
-
-@dataclass(frozen=True)
-class AgentState:
-    """One receiver's local view: its index, current load, and feedback bit.
-
-    ``fb`` is 1 exactly when the receiver's delivered power currently meets
-    its demand; it is the only information the receiver shares.
+    ``results`` keeps the batch's :class:`TrialResult` entries, one per seed.
     """
 
-    n: int
-    x: float
-    fb: int
-
-    def __post_init__(self) -> None:
-        if not self.x > 0:
-            raise ScenarioError(f"x must be > 0 (got {self.x})")
-        if self.fb not in (0, 1):
-            raise ScenarioError(f"fb must be 0 or 1 (got {self.fb})")
-
-
-def agent_states(scenario: SystemScenario, loads) -> tuple[AgentState, ...]:
-    """Current per-receiver states (loads plus truthful feedback bits)."""
-    xs = as_loads(scenario, loads)
-    report = solve_closed_form(scenario, xs)
-    return tuple(
-        AgentState(n=k, x=xs[k], fb=1 if report.p[k] >= rec.p_min else 0)
-        for k, rec in enumerate(scenario.receivers)
-    )
+    def __init__(self, message: str, results: tuple[TrialResult, ...] = ()) -> None:
+        super().__init__(message)
+        self.results = results
 
 
 @dataclass(frozen=True)
@@ -193,18 +168,43 @@ def draw_initial_loads(scenario: SystemScenario, seed: int) -> tuple[float, ...]
     return tuple(float(rng.uniform(rec.x_min, rec.x_max)) for rec in scenario.receivers)
 
 
-def _probe_lo(x: float, dx: float) -> float:
-    """Lower probe point, kept strictly positive."""
-    lo = x - dx
-    return lo if lo > 0.0 else 0.5 * x
+# --- scalar reference -------------------------------------------------------
+#
+# One receiver step recomputed from ``solve_closed_form``, independently of the
+# step engine further down.  ``agent_step``, ``classify_position`` and
+# ``verify_trace`` are built on it.
 
 
-def _position_from_probes(p_lo: float, p_own: float, p_hi: float) -> PeakPosition:
+def _step_loads(scenario: SystemScenario, loads, n: int, dx: float) -> list[float]:
+    """Validated loads as a list, for a step of receiver ``n`` with step ``dx``."""
+    xs = list(as_loads(scenario, loads))
+    if not 0 <= n < scenario.n:
+        raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
+    if not dx > 0:
+        raise ScenarioError(f"dx must be > 0 (got {dx})")
+    return xs
+
+
+def _probe(
+    scenario: SystemScenario, xs: list[float], n: int, dx: float, p_own: float
+) -> tuple[float, float, PeakPosition]:
+    """Probe powers at ``x_n - dx`` and ``x_n + dx`` and the side they indicate.
+
+    ``xs`` is changed during the probes and restored before returning.  A
+    lower probe that would not be positive is taken at ``x_n / 2`` instead.
+    """
+    x_n = xs[n]
+    lo = x_n - dx
+    xs[n] = lo if lo > 0.0 else 0.5 * x_n
+    p_lo = solve_closed_form(scenario, xs).p[n]
+    xs[n] = x_n + dx
+    p_hi = solve_closed_form(scenario, xs).p[n]
+    xs[n] = x_n
     if p_hi > p_own and p_lo < p_own:
-        return PeakPosition.BELOW_PEAK
+        return p_lo, p_hi, PeakPosition.BELOW_PEAK
     if p_hi < p_own and p_lo > p_own:
-        return PeakPosition.ABOVE_PEAK
-    return PeakPosition.AT_PEAK
+        return p_lo, p_hi, PeakPosition.ABOVE_PEAK
+    return p_lo, p_hi, PeakPosition.AT_PEAK
 
 
 def classify_position(scenario: SystemScenario, loads, n: int, dx: float) -> PeakPosition:
@@ -214,18 +214,8 @@ def classify_position(scenario: SystemScenario, loads, n: int, dx: float) -> Pea
     all other loads fixed; they may leave [x_min, x_max] but stay positive.
     AT_PEAK means the peak lies within one ``dx`` of the current load.
     """
-    if not dx > 0:
-        raise ScenarioError(f"dx must be > 0 (got {dx})")
-    xs = list(as_loads(scenario, loads))
-    if not 0 <= n < scenario.n:
-        raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
-    p_own = solve_closed_form(scenario, xs).p[n]
-    x_n = xs[n]
-    xs[n] = _probe_lo(x_n, dx)
-    p_lo = solve_closed_form(scenario, xs).p[n]
-    xs[n] = x_n + dx
-    p_hi = solve_closed_form(scenario, xs).p[n]
-    return _position_from_probes(p_lo, p_own, p_hi)
+    xs = _step_loads(scenario, loads, n, dx)
+    return _probe(scenario, xs, n, dx, solve_closed_form(scenario, xs).p[n])[2]
 
 
 def decide_case(
@@ -266,34 +256,50 @@ def agent_step(
     when that receiver's demand is met).  Returns the updated ``x_n``
     (clamped into bounds) and the rule that produced it.
     """
-    xs = list(as_loads(scenario, loads))
-    if not 0 <= n < scenario.n:
-        raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
+    xs = _step_loads(scenario, loads, n, dx)
     if len(feedback) != scenario.n - 1:
         raise ScenarioError(
             f"feedback must have {scenario.n - 1} bits (got {len(feedback)})"
         )
-    if not dx > 0:
-        raise ScenarioError(f"dx must be > 0 (got {dx})")
 
     rec = scenario.receivers[n]
     p_own = solve_closed_form(scenario, xs).p[n]
-    position = classify_position(scenario, xs, n, dx)
+    position = _probe(scenario, xs, n, dx, p_own)[2]
     case = decide_case(p_own, rec.p_min, position, all(bool(b) for b in feedback))
     return _apply_case(case, xs[n], dx, rec.x_min, rec.x_max), case
 
 
 # --- step engine -----------------------------------------------------------
 #
-# The engine below is written against plain indexing and ``len`` so that the
-# same source runs interpreted (on lists) and numba-compiled (on float64
-# arrays).  Its arithmetic must stay expression-for-expression identical to
-# ``solve_closed_form``; the test suite asserts bit-equality between the two
-# execution modes and against the recording path.
+# The only code that simulates the protocol: ``batch_run`` runs it bare and
+# ``run_protocol`` runs it with a recorder.  It works on plain lists of
+# floats, and its arithmetic must stay expression-for-expression identical to
+# ``solve_closed_form``; the test suite replays engine-made traces through
+# the scalar reference above and asserts bit-equality.
 
 
-def _trial_engine(r_tx, half_v2, wh2, r, x, x_min, x_max, p_min, dx, k_max, p_work):
-    """Run one trial in place on ``x``.  Returns (converged, feasible, p_tx, steps)."""
+def _scenario_params(scenario: SystemScenario):
+    recs = scenario.receivers
+    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
+    return (
+        scenario.tx.r_tx,
+        half_v2,
+        list(coupling_ohms2(scenario)),
+        [rec.r for rec in recs],
+        [rec.x_min for rec in recs],
+        [rec.x_max for rec in recs],
+        [rec.p_min for rec in recs],
+    )
+
+
+def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
+    """Run one trial in place on ``x``.  Returns (converged, feasible, p_tx, steps).
+
+    ``params`` comes from ``_scenario_params``.  When given, ``on_step(k, n,
+    p_lo, p_hi, case, moved)`` is called after step ``k`` has updated
+    ``x[n]``, while ``p_work`` still holds the powers the step started from.
+    """
+    r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
     n_agents = len(x)
     trailing_c5 = 0
     steps = 0
@@ -361,6 +367,9 @@ def _trial_engine(r_tx, half_v2, wh2, r, x, x_min, x_max, p_min, dx, k_max, p_wo
         elif case == 2 or case == 4:
             x[n] = max(x_min[n], x_n - dx)
 
+        if on_step is not None:
+            on_step(steps, n, p_lo, p_hi, case, x[n] != x_n)
+
         if case == 5:
             trailing_c5 += 1
             if trailing_c5 >= n_agents:
@@ -383,35 +392,6 @@ def _trial_engine(r_tx, half_v2, wh2, r, x, x_min, x_max, p_min, dx, k_max, p_wo
     return converged, feasible, p_tx, steps
 
 
-_COMPILED_ENGINE = None
-_COMPILE_FAILED = False
-
-
-def _fast_engine():
-    """numba-compiled twin of ``_trial_engine``, or None when unavailable."""
-    global _COMPILED_ENGINE, _COMPILE_FAILED
-    if _COMPILED_ENGINE is not None or _COMPILE_FAILED:
-        return _COMPILED_ENGINE
-    try:
-        from numba import njit
-
-        _COMPILED_ENGINE = njit(cache=True)(_trial_engine)
-    except Exception:  # pragma: no cover - exercised only without numba
-        _COMPILE_FAILED = True
-        _COMPILED_ENGINE = None
-    return _COMPILED_ENGINE
-
-
-def _scenario_params(scenario: SystemScenario):
-    wh2 = np.array(coupling_ohms2(scenario), dtype=np.float64)
-    r = np.array([rec.r for rec in scenario.receivers], dtype=np.float64)
-    x_min = np.array([rec.x_min for rec in scenario.receivers], dtype=np.float64)
-    x_max = np.array([rec.x_max for rec in scenario.receivers], dtype=np.float64)
-    p_min = np.array([rec.p_min for rec in scenario.receivers], dtype=np.float64)
-    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
-    return scenario.tx.r_tx, half_v2, wh2, r, x_min, x_max, p_min
-
-
 def run_protocol(
     scenario: SystemScenario, config: ProtocolConfig, record: bool = True
 ) -> ProtocolTrace:
@@ -423,63 +403,33 @@ def run_protocol(
     steps or as soon as N consecutive steps were silent (C5).  With
     ``record=False`` only the terminal fields of the trace are populated.
     """
-    n_agents = scenario.n
-    p_min = [rec.p_min for rec in scenario.receivers]
+    params = _scenario_params(scenario)
+    p_min = params[-1]
     initial = draw_initial_loads(scenario, config.seed)
-    xs = list(initial)
-    dx = config.dx
-
+    x = list(initial)
+    p_work = [0.0] * scenario.n
     records: list[StepRecord] = []
-    report = solve_closed_form(scenario, xs)
-    trailing_c5 = 0
-    converged = False
-    steps = 0
-    for k in range(1, config.k_max + 1):
-        steps = k
-        n = (k - 1) % n_agents
-        rec = scenario.receivers[n]
+    report = solve_closed_form(scenario, x)
 
-        feedback = tuple(1 if report.p[m] >= p_min[m] else 0 for m in range(n_agents))
-        others_fed = all(feedback[m] == 1 for m in range(n_agents) if m != n)
-
-        x_n = xs[n]
-        p_own = report.p[n]
-        xs[n] = _probe_lo(x_n, dx)
-        p_lo = solve_closed_form(scenario, xs).p[n]
-        xs[n] = x_n + dx
-        p_hi = solve_closed_form(scenario, xs).p[n]
-        xs[n] = x_n
-
-        position = _position_from_probes(p_lo, p_own, p_hi)
-        case = decide_case(p_own, rec.p_min, position, others_fed)
-        x_new = _apply_case(case, x_n, dx, rec.x_min, rec.x_max)
-
-        if x_new != x_n:
-            xs[n] = x_new
-            report = solve_closed_form(scenario, xs)
-
-        if record:
-            records.append(
-                StepRecord(
-                    iteration=k,
-                    agent=n,
-                    feedback=feedback,
-                    probes=(p_lo, p_own, p_hi),
-                    case=case,
-                    x_new=x_new,
-                    report=report,
-                )
+    def on_step(k, n, p_lo, p_hi, case, moved):
+        nonlocal report
+        if moved:
+            report = solve_closed_form(scenario, x)
+        records.append(
+            StepRecord(
+                iteration=k,
+                agent=n,
+                feedback=tuple(1 if p >= q else 0 for p, q in zip(p_work, p_min)),
+                probes=(p_lo, p_work[n], p_hi),
+                case=Case(case),
+                x_new=x[n],
+                report=report,
             )
+        )
 
-        if case is Case.C5:
-            trailing_c5 += 1
-            if trailing_c5 >= n_agents:
-                converged = True
-                break
-        else:
-            trailing_c5 = 0
-
-    feasible = all(report.p[m] >= p_min[m] for m in range(n_agents))
+    converged, feasible, _, steps = _trial_engine(
+        params, x, p_work, config.dx, config.k_max, on_step if record else None
+    )
     return ProtocolTrace(
         config=config,
         initial=initial,
@@ -487,8 +437,8 @@ def run_protocol(
         iterations=steps,
         converged=converged,
         feasible=feasible,
-        final=tuple(xs),
-        final_report=report,
+        final=tuple(x),
+        final_report=solve_closed_form(scenario, x),
     )
 
 
@@ -499,49 +449,27 @@ def batch_run(
 
     The mean transmit power is taken over trials whose final loads meet
     every demand; a batch where no trial does raises
-    :class:`NoFeasibleTrialsError`.  Trial outcomes are identical to
-    ``run_protocol`` run per seed, just without trace recording.
+    :class:`NoFeasibleTrialsError`, which carries the trial results.  Trial
+    outcomes are identical to ``run_protocol`` run per seed, just without
+    trace recording.
     """
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {trials})")
 
-    r_tx, half_v2, wh2, r, x_min, x_max, p_min = _scenario_params(scenario)
-    engine = _fast_engine()
-
+    params = _scenario_params(scenario)
+    p_work = [0.0] * scenario.n
     results: list[TrialResult] = []
-    if engine is not None:
-        p_work = np.empty(scenario.n, dtype=np.float64)
-        for t in range(trials):
-            seed = config.seed + t
-            x = np.array(draw_initial_loads(scenario, seed), dtype=np.float64)
-            converged, feasible, p_tx, steps = engine(
-                r_tx, half_v2, wh2, r, x, x_min, x_max, p_min,
-                config.dx, config.k_max, p_work,
-            )
-            results.append(
-                TrialResult(seed, bool(converged), bool(feasible), int(steps),
-                            float(p_tx), tuple(float(v) for v in x))
-            )
-    else:  # interpreted fallback: same engine source on plain lists
-        wh2_l, r_l = list(wh2), list(r)
-        xmin_l, xmax_l, pmin_l = list(x_min), list(x_max), list(p_min)
-        p_work_l = [0.0] * scenario.n
-        for t in range(trials):
-            seed = config.seed + t
-            x = list(draw_initial_loads(scenario, seed))
-            converged, feasible, p_tx, steps = _trial_engine(
-                r_tx, half_v2, wh2_l, r_l, x, xmin_l, xmax_l, pmin_l,
-                config.dx, config.k_max, p_work_l,
-            )
-            results.append(
-                TrialResult(seed, bool(converged), bool(feasible), int(steps),
-                            float(p_tx), tuple(float(v) for v in x))
-            )
+    for seed in range(config.seed, config.seed + trials):
+        x = list(draw_initial_loads(scenario, seed))
+        converged, feasible, p_tx, steps = _trial_engine(
+            params, x, p_work, config.dx, config.k_max
+        )
+        results.append(TrialResult(seed, converged, feasible, steps, p_tx, tuple(x)))
 
     feasible_ptx = [res.p_tx for res in results if res.feasible]
     if not feasible_ptx:
         raise NoFeasibleTrialsError(
-            f"all {trials} trials ended with some demand unmet"
+            f"all {trials} trials ended with some demand unmet", tuple(results)
         )
     return BatchSummary(
         trials=trials,
@@ -560,14 +488,15 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     powers, the case decision, the clamped update, bounds safety, and the
     single-mutator property; then checks the terminal convergence and
     feasibility flags.  Returns a list of human-readable violations (empty
-    for a sound trace).  All comparisons are exact: the recording path and
-    this replay share their arithmetic.
+    for a sound trace).  All comparisons are exact: the replay runs the
+    scalar reference, whose arithmetic the step engine mirrors.
     """
     violations: list[str] = []
     n_agents = scenario.n
     p_min = [rec.p_min for rec in scenario.receivers]
     dx = trace.config.dx
     xs = list(trace.initial)
+    report = solve_closed_form(scenario, xs)
 
     for idx, step in enumerate(trace.records):
         k = idx + 1
@@ -579,23 +508,18 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
             violations.append(f"{tag}: agent {step.agent} breaks round-robin order")
             n = step.agent  # follow the trace to keep later checks meaningful
 
-        report = solve_closed_form(scenario, xs)
         feedback = tuple(1 if report.p[m] >= p_min[m] else 0 for m in range(n_agents))
         if step.feedback != feedback:
             violations.append(f"{tag}: feedback {step.feedback} not truthful ({feedback})")
 
         x_n = xs[n]
-        xs[n] = _probe_lo(x_n, dx)
-        p_lo = solve_closed_form(scenario, xs).p[n]
-        xs[n] = x_n + dx
-        p_hi = solve_closed_form(scenario, xs).p[n]
-        xs[n] = x_n
-        if step.probes != (p_lo, report.p[n], p_hi):
+        p_own = report.p[n]
+        p_lo, p_hi, position = _probe(scenario, xs, n, dx, p_own)
+        if step.probes != (p_lo, p_own, p_hi):
             violations.append(f"{tag}: probe powers differ from replay")
 
-        position = _position_from_probes(p_lo, report.p[n], p_hi)
         others_fed = all(feedback[m] == 1 for m in range(n_agents) if m != n)
-        case = decide_case(report.p[n], p_min[n], position, others_fed)
+        case = decide_case(p_own, p_min[n], position, others_fed)
         if step.case != case:
             violations.append(f"{tag}: case {step.case.name}, replay says {case.name}")
 
@@ -611,8 +535,8 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
             violations.append(f"{tag}: move {delta} larger than dx")
 
         xs[n] = step.x_new
-        after = solve_closed_form(scenario, xs)
-        if step.report.p != after.p or step.report.p_tx != after.p_tx:
+        report = solve_closed_form(scenario, xs)
+        if step.report.p != report.p or step.report.p_tx != report.p_tx:
             violations.append(f"{tag}: recorded post-step report differs from replay")
 
     if tuple(xs) != trace.final:

@@ -206,12 +206,13 @@ def fig3_comparison(fig3):
     """Run the optimizer-versus-protocol comparison once for both C5 tests.
 
     200 trials per demand point as stated; drops to 20 trials (and says so)
-    only if a one-trial calibration projects the run beyond the 30-minute
-    budget, which happens only without the compiled engine.
+    only if a one-trial calibration projects the run beyond 80% of the
+    30-minute budget, that is on a host where one 1e5-step trial takes more
+    than about 0.72 s.
     """
     t0 = time.perf_counter()
     calib = fig3_with_demand(fig3, DEMAND_POINTS[0])
-    # Warm-up absorbs the one-time engine compilation before calibrating.
+    # Warm-up run, so that the calibration times a steady-state trial.
     batch_run(calib, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=1)
     t_one = time.perf_counter()
     batch_run(calib, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=1)

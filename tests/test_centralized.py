@@ -258,7 +258,9 @@ class TestMinimizePtx:
         assert result.is_optimal
         assert result.z_star == pytest.approx(FIG3_Z_STAR, rel=1e-12)
         assert result.report.p_tx == pytest.approx(FIG3_PTX, rel=1e-12)
-        assert result.loads.within_bounds(fig3)
+        assert len(result.loads) == fig3.n
+        for rec, x in zip(fig3.receivers, result.loads):
+            assert rec.x_min <= x <= rec.x_max
         for k, rec in enumerate(fig3.receivers):
             assert result.report.p[k] >= rec.p_min * (1 - 1e-6)
 

@@ -14,12 +14,10 @@ from mrc_wpt.circuit import (
     solve_closed_form,
 )
 from mrc_wpt.distributed import (
-    AgentState,
     Case,
     NoFeasibleTrialsError,
     PeakPosition,
     ProtocolConfig,
-    agent_states,
     agent_step,
     batch_run,
     classify_position,
@@ -27,9 +25,8 @@ from mrc_wpt.distributed import (
     draw_initial_loads,
     run_protocol,
     verify_trace,
-    _scenario_params,
-    _trial_engine,
 )
+from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -39,6 +36,15 @@ def lone_receiver_scenario():
     tx = TransmitterSpec(v_mag=30.0, r_tx=0.4, l_tx=6e-6)
     rec = ReceiverSpec(r=0.2, l=1e-6, h=1.8e-6, x_min=0.05, x_max=60.0, p_min=40.0)
     return SystemScenario(w=2.0e6, tx=tx, receivers=(rec,))
+
+
+def replay_scenarios(fig3):
+    """fig3 plus seeded random draws with N = 1 and N = 8, for trace replays."""
+    yield "fig3", fig3
+    for n, seed in ((1, 1), (1, 2), (8, 3), (8, 4)):
+        rng = np.random.default_rng(seed)
+        scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))
+        yield f"random N={n} seed={seed}", scenario
 
 
 class TestClassifyPosition:
@@ -166,20 +172,22 @@ class TestRunProtocol:
             assert rec.x_min <= x <= rec.x_max
 
     def test_replay_through_agent_step(self, fig3):
-        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=900, seed=21))
-        xs = list(trace.initial)
-        for step in trace.records:
-            n = step.agent
-            others = tuple(b for m, b in enumerate(step.feedback) if m != n)
-            x_new, case = agent_step(fig3, xs, n, others, trace.config.dx)
-            assert case is step.case
-            assert x_new == step.x_new
-            xs[n] = x_new
-        assert tuple(xs) == trace.final
+        for name, s in replay_scenarios(fig3):
+            trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=900, seed=21))
+            xs = list(trace.initial)
+            for step in trace.records:
+                n = step.agent
+                others = tuple(b for m, b in enumerate(step.feedback) if m != n)
+                x_new, case = agent_step(s, xs, n, others, trace.config.dx)
+                assert case is step.case, f"{name}, step {step.iteration}"
+                assert x_new == step.x_new, f"{name}, step {step.iteration}"
+                xs[n] = x_new
+            assert tuple(xs) == trace.final, name
 
     def test_verify_trace_clean(self, fig3):
-        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=3000, seed=5))
-        assert verify_trace(fig3, trace) == []
+        for name, s in replay_scenarios(fig3):
+            trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=3000, seed=5))
+            assert verify_trace(s, trace) == [], name
 
     def test_verify_trace_flags_tampering(self, fig3):
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=50, seed=5))
@@ -254,30 +262,6 @@ class TestBatchRun:
         cfg = ProtocolConfig(dx=1e-3, k_max=1500, seed=5)
         assert batch_run(fig3, cfg, trials=3) == batch_run(fig3, cfg, trials=3)
 
-    def test_interpreted_engine_matches_compiled(self, fig3):
-        params = _scenario_params(fig3)
-        r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
-        from mrc_wpt.distributed import _fast_engine
-
-        compiled = _fast_engine()
-        if compiled is None:
-            pytest.skip("numba unavailable; single engine only")
-        for seed in (0, 1, 2):
-            x0 = draw_initial_loads(fig3, seed)
-            xa = np.array(x0)
-            out_c = compiled(
-                r_tx, half_v2, wh2, r, xa, x_min, x_max, p_min, 1e-3, 2000,
-                np.empty(fig3.n),
-            )
-            xl = list(x0)
-            out_p = _trial_engine(
-                r_tx, half_v2, list(wh2), list(r), xl, list(x_min), list(x_max),
-                list(p_min), 1e-3, 2000, [0.0] * fig3.n,
-            )
-            assert tuple(xa) == tuple(xl)
-            assert out_c[0] == out_p[0] and out_c[1] == out_p[1]
-            assert out_c[2] == out_p[2] and out_c[3] == out_p[3]
-
     def test_mean_over_feasible_trials(self, fig3):
         summary = batch_run(fig3, ProtocolConfig(dx=1e-3, k_max=5000, seed=0), trials=6)
         feasible = [r.p_tx for r in summary.results if r.feasible]
@@ -293,28 +277,22 @@ class TestBatchRun:
             fig3,
             receivers=tuple(replace(rec, p_min=1e9) for rec in fig3.receivers),
         )
-        with pytest.raises(NoFeasibleTrialsError):
-            batch_run(greedy, ProtocolConfig(dx=1e-3, k_max=50, seed=0), trials=3)
+        cfg = ProtocolConfig(dx=1e-3, k_max=50, seed=0)
+        with pytest.raises(NoFeasibleTrialsError) as err:
+            batch_run(greedy, cfg, trials=3)
+        assert str(err.value) == "all 3 trials ended with some demand unmet"
+        assert [res.seed for res in err.value.results] == [0, 1, 2]
+        for res in err.value.results:
+            trace = run_protocol(greedy, replace(cfg, seed=res.seed), record=False)
+            assert res.converged == trace.converged
+            assert not res.feasible and not trace.feasible
+            assert res.iterations == trace.iterations
+            assert res.p_tx == trace.final_report.p_tx
+            assert res.final == trace.final
 
     def test_rejects_bad_trials(self, fig3):
         with pytest.raises(ScenarioError):
             batch_run(fig3, ProtocolConfig(), trials=0)
-
-
-class TestAgentStates:
-    def test_bits_are_truthful(self, fig2, fig3):
-        # Bench loads meet the demo thresholds but none of the demand levels.
-        assert [s.fb for s in agent_states(fig2, BENCH_LOADS)] == [1, 1, 1]
-        assert [s.fb for s in agent_states(fig3, BENCH_LOADS)] == [0, 0, 0]
-        states = agent_states(fig3, BENCH_LOADS)
-        assert [s.n for s in states] == [0, 1, 2]
-        assert all(s.x == 7.5 for s in states)
-
-    def test_validation(self):
-        with pytest.raises(ScenarioError):
-            AgentState(n=0, x=-1.0, fb=1)
-        with pytest.raises(ScenarioError):
-            AgentState(n=0, x=1.0, fb=2)
 
 
 class TestConfig:
