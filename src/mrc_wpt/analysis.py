@@ -26,17 +26,18 @@ probing rather than by formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .circuit import (
     PowerReport,
     ScenarioError,
     SystemScenario,
     as_loads,
+    closed_form_arrays,
     coupling_ohms2,
-    solve_closed_form,
 )
 
 __all__ = [
@@ -127,15 +128,17 @@ def sweep(
 
     All other loads stay fixed at their ``loads`` values; the entry
     ``loads[n]`` itself is replaced by each grid value in turn.  Grid values
-    need only be positive, they may leave [x_min, x_max].
+    need only be positive, they may leave [x_min, x_max].  The whole grid is
+    one call of the array kernel, so each report equals
+    ``solve_closed_form`` at that point.
     """
     _check_index(scenario, n)
-    xs = list(as_loads(scenario, loads))
-    rows: list[tuple[float, PowerReport]] = []
-    for g in grid:
-        gv = float(g)
-        if not (math.isfinite(gv) and gv > 0):
-            raise ScenarioError(f"grid value must be > 0 (got {g})")
-        xs[n] = gv
-        rows.append((gv, solve_closed_form(scenario, xs)))
-    return rows
+    xs = as_loads(scenario, loads)
+    values = np.asarray(grid, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        raise ScenarioError(f"grid value must be > 0 (got {grid[bad[0]]})")
+    table = np.tile(np.array(xs), (len(values), 1))
+    table[:, n] = values
+    reports = closed_form_arrays(scenario, table, currents=True).reports()
+    return list(zip(values.tolist(), reports))

@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,10 +47,12 @@ __all__ = [
     "SystemScenario",
     "LoadVector",
     "PowerReport",
+    "PowerArrays",
     "build_impedance_matrix",
     "det_impedance",
     "input_resistance",
     "solve_closed_form",
+    "closed_form_arrays",
     "solve_oracle",
     "admittance_first_column",
 ]
@@ -173,7 +175,7 @@ class LoadVector:
         return self.x[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerReport:
     """Currents and powers for one load setting.
 
@@ -258,8 +260,9 @@ def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     """Currents and powers from the eliminated (closed-form) mesh solution.
 
     Scalar arithmetic, evaluated receiver-by-receiver in index order; the
-    protocol simulator reproduces these expressions exactly, so power values
-    computed there are bit-identical to this function's.
+    protocol simulator and the array kernel ``closed_form_arrays`` reproduce
+    these expressions exactly, so power values computed there are
+    bit-identical to this function's.
     """
     xs = as_loads(scenario, loads)
     wh2 = coupling_ohms2(scenario)
@@ -287,6 +290,106 @@ def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     return PowerReport(
         i_tx=i_tx, i=tuple(currents), p_tx=p_tx, p=tuple(powers), p_sum=p_sum
     )
+
+
+# Rows per block when array rows are turned into Python objects, which
+# bounds the temporary objects of a long trace or grid.
+_BLOCK = 4096
+
+
+class PowerArrays(NamedTuple):
+    """Closed-form results for a stack of load vectors of shape ``(..., N)``.
+
+    ``r_in``, ``p_tx`` and ``p_sum`` have the stack shape ``(...)``; ``p``
+    has the loads' shape.  ``i_tx`` and ``i`` (complex, same shapes as
+    ``p_tx`` and ``p``) are ``None`` unless currents were asked for.
+    """
+
+    r_in: np.ndarray
+    p: np.ndarray
+    p_tx: np.ndarray
+    p_sum: np.ndarray
+    i_tx: np.ndarray | None = None
+    i: np.ndarray | None = None
+
+    def reports(self, rows=None) -> Iterator[PowerReport]:
+        """Yield one :class:`PowerReport` per row of a 2-D stack, in order.
+
+        ``rows`` selects row indices (default: every row).  Needs the
+        currents; each report equals ``solve_closed_form`` on that row's
+        loads.  Rows are converted in blocks, so the Python objects of only
+        one block exist besides the reports themselves.
+        """
+        if self.i is None:
+            raise ValueError("reports need the currents: evaluate with currents=True")
+        rows = np.arange(len(self.p_tx)) if rows is None else np.asarray(rows, dtype=np.intp)
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            yield from (
+                PowerReport(i_tx=i_tx, i=tuple(i), p_tx=p_tx, p=tuple(p), p_sum=p_sum)
+                for i_tx, i, p_tx, p, p_sum in zip(
+                    self.i_tx[block].tolist(),
+                    self.i[block].tolist(),
+                    self.p_tx[block].tolist(),
+                    self.p[block].tolist(),
+                    self.p_sum[block].tolist(),
+                )
+            )
+
+
+def closed_form_arrays(
+    scenario: SystemScenario, loads, currents: bool = False
+) -> PowerArrays:
+    """``solve_closed_form`` over every row of a load array of shape ``(..., N)``.
+
+    Receivers are accumulated in index order with the same operations, in
+    the same order, as the scalar function, so every output is bit-identical
+    to calling ``solve_closed_form`` row by row.  One row costs more here
+    than in the scalar function; the kernel pays off from a few rows on.
+    Entries must be positive and finite, as in ``as_loads``.
+    """
+    x = np.asarray(loads, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != scenario.n:
+        raise ScenarioError(
+            f"load array has shape {x.shape}, scenario has {scenario.n} receivers"
+        )
+    bad = ~(np.isfinite(x) & (x > 0))
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ScenarioError(f"x[{where[-1]}] must be > 0 (got {x[where]})")
+
+    wh2 = coupling_ohms2(scenario)
+    tx = scenario.tx
+    r_in = np.full(x.shape[:-1], tx.r_tx)
+    for k, rec in enumerate(scenario.receivers):
+        r_in += wh2[k] / (rec.r + x[..., k])
+
+    half_v2 = 0.5 * tx.v_mag * tx.v_mag
+    p_tx = half_v2 / r_in
+    rr = r_in * r_in
+    p = np.empty(x.shape)
+    p_sum = np.zeros(x.shape[:-1])
+    for k, rec in enumerate(scenario.receivers):
+        d = rec.r + x[..., k]
+        p[..., k] = half_v2 * wh2[k] * x[..., k] / (d * d) / rr
+        p_sum += p[..., k]
+    if not currents:
+        return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
+
+    # numpy's complex arithmetic need not round as Python's does, so the
+    # currents are written out in real arithmetic, term for term as Python
+    # evaluates ``v / r_in`` and ``1j * s * i_tx`` = (0 + s j) * (a + b j).
+    v = tx.v_tx
+    a = v.real / r_in
+    b = v.imag / r_in
+    i_tx = np.empty(r_in.shape, dtype=complex)
+    i_tx.real, i_tx.imag = a, b
+    i = np.empty(x.shape, dtype=complex)
+    for k, rec in enumerate(scenario.receivers):
+        s = scenario.w * rec.h / (rec.r + x[..., k])
+        i[..., k].real = 0.0 * a - s * b
+        i[..., k].imag = 0.0 * b + s * a
+    return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum, i_tx=i_tx, i=i)
 
 
 def solve_oracle(scenario: SystemScenario, loads) -> PowerReport:

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,8 +23,16 @@ import numpy as np
 from . import __version__
 from .analysis import sweep
 from .centralized import minimize_ptx
-from .circuit import ScenarioError, SystemScenario
-from .distributed import NoFeasibleTrialsError, ProtocolConfig, batch_run, run_protocol
+from .circuit import _BLOCK, ScenarioError
+from .distributed import (
+    Case,
+    NoFeasibleTrialsError,
+    ProtocolConfig,
+    RecordedTrial,
+    record_trial,
+    run_trials,
+    summarize,
+)
 from .scenario_io import load_scenario
 from .verify import run_verification
 
@@ -185,24 +193,31 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_rows(scenario: SystemScenario, trace) -> list[list[str]]:
-    xs = list(trace.initial)
-    rows = []
-    for step in trace.records:
-        xs[step.agent] = step.x_new
-        rows.append(
-            [str(step.iteration), str(step.agent + 1),
-             "".join(str(b) for b in step.feedback), step.case.name]
-            + [_fmt(v) for v in xs]
-            + [_fmt(step.report.p_tx)]
-            + [_fmt(p) for p in step.report.p]
-        )
-    return rows
+def _write_trace(path: str, manifest: RunManifest, header: list[str], run: RecordedTrial) -> None:
+    """Write a recorded trial's trace, one line per step, straight from its arrays.
+
+    Each line is what ``csv.writer`` writes for the step's fields (none needs
+    quoting), with every number in ``_fmt``'s format; formatting a whole
+    line at once is what keeps a 1e5-step trace cheap.
+    """
+    n = run.loads.shape[1]
+    line = "%d,%d,%s,%s," + ",".join(["%.16e"] * (2 * n + 1)) + "\r\n"
+    names = {case.value: case.name for case in Case}
+    numbers = np.hstack((run.loads[1:], run.powers.p_tx[1:, None], run.powers.p[1:]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(manifest.header_line() + "\n")
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(numbers), _BLOCK):
+            for k, values in enumerate(numbers[start:start + _BLOCK].tolist(), start):
+                bits = "".join(map(str, run.feedback[k]))
+                fh.write(line % (k + 1, run.agent[k] + 1, bits, names[run.case[k]], *values))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     config = ProtocolConfig(dx=args.dx, k_max=args.kmax, seed=args.seed)
+    if args.trials < 1:
+        raise ScenarioError(f"trials must be >= 1 (got {args.trials})")
     parameters = {
         "dx": args.dx,
         "kmax": args.kmax,
@@ -217,18 +232,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         outputs=outputs,
     )
 
+    results: tuple = ()
     if args.trace:
-        trace = run_protocol(scenario, config, record=True)
+        # The traced run is trial 1; the untraced trials follow it.
+        run = record_trial(scenario, config)
         header = (
             ["iter", "n", "fb_bits", "case"]
             + [f"x_{k + 1}" for k in range(scenario.n)]
             + ["p_tx"]
             + [f"p_{k + 1}" for k in range(scenario.n)]
         )
-        _write_csv(args.trace, manifest, header, _trace_rows(scenario, trace))
+        _write_trace(args.trace, manifest, header, run)
+        results = (run.result,)
+    if args.trials > len(results):
+        rest = replace(config, seed=config.seed + len(results))
+        results += run_trials(scenario, rest, args.trials - len(results))
 
     try:
-        summary = batch_run(scenario, config, trials=args.trials)
+        summary = summarize(results)
     except NoFeasibleTrialsError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1

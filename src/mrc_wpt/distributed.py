@@ -18,10 +18,12 @@ A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
 Implementation note: ``_trial_engine`` is the one simulator of the
-protocol.  ``batch_run`` runs it bare and ``run_protocol`` runs it with a
-step recorder.  Its power expressions mirror ``circuit.solve_closed_form``
-operation for operation, so simulated measurements, recorded traces, and the
-scalar replay of ``agent_step``/``verify_trace`` all agree to the bit.
+protocol.  ``batch_run`` runs it bare and ``record_trial`` (behind
+``run_protocol`` and ``simulate --trace``) runs it with a step recorder.  Its
+power expressions mirror ``circuit.solve_closed_form`` operation for
+operation, and so does the array kernel ``circuit.closed_form_arrays``, so
+simulated measurements, recorded traces, the scalar replay of
+``agent_step`` and the array replay of ``verify_trace`` all agree to the bit.
 """
 
 from __future__ import annotations
@@ -29,15 +31,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import (
+    _BLOCK,
+    PowerArrays,
     PowerReport,
     ScenarioError,
     SystemScenario,
     as_loads,
+    closed_form_arrays,
     coupling_ohms2,
     solve_closed_form,
 )
@@ -50,12 +55,16 @@ __all__ = [
     "ProtocolTrace",
     "TrialResult",
     "BatchSummary",
+    "RecordedTrial",
     "NoFeasibleTrialsError",
     "draw_initial_loads",
     "classify_position",
     "decide_case",
     "agent_step",
+    "record_trial",
     "run_protocol",
+    "run_trials",
+    "summarize",
     "batch_run",
     "verify_trace",
 ]
@@ -171,8 +180,8 @@ def draw_initial_loads(scenario: SystemScenario, seed: int) -> tuple[float, ...]
 # --- scalar reference -------------------------------------------------------
 #
 # One receiver step recomputed from ``solve_closed_form``, independently of the
-# step engine further down.  ``agent_step``, ``classify_position`` and
-# ``verify_trace`` are built on it.
+# step engine further down.  ``agent_step`` and ``classify_position`` are
+# built on it; ``verify_trace`` shares its case rules.
 
 
 def _step_loads(scenario: SystemScenario, loads, n: int, dx: float) -> list[float]:
@@ -200,11 +209,16 @@ def _probe(
     xs[n] = x_n + dx
     p_hi = solve_closed_form(scenario, xs).p[n]
     xs[n] = x_n
+    return p_lo, p_hi, _position(p_lo, p_own, p_hi)
+
+
+def _position(p_lo: float, p_own: float, p_hi: float) -> PeakPosition:
+    """The side of the peak that the three probe powers indicate."""
     if p_hi > p_own and p_lo < p_own:
-        return p_lo, p_hi, PeakPosition.BELOW_PEAK
+        return PeakPosition.BELOW_PEAK
     if p_hi < p_own and p_lo > p_own:
-        return p_lo, p_hi, PeakPosition.ABOVE_PEAK
-    return p_lo, p_hi, PeakPosition.AT_PEAK
+        return PeakPosition.ABOVE_PEAK
+    return PeakPosition.AT_PEAK
 
 
 def classify_position(scenario: SystemScenario, loads, n: int, dx: float) -> PeakPosition:
@@ -271,8 +285,8 @@ def agent_step(
 
 # --- step engine -----------------------------------------------------------
 #
-# The only code that simulates the protocol: ``batch_run`` runs it bare and
-# ``run_protocol`` runs it with a recorder.  It works on plain lists of
+# The only code that simulates the protocol: ``run_trials`` runs it bare and
+# ``record_trial`` runs it with a recorder.  It works on plain lists of
 # floats, and its arithmetic must stay expression-for-expression identical to
 # ``solve_closed_form``; the test suite replays engine-made traces through
 # the scalar reference above and asserts bit-equality.
@@ -392,6 +406,123 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     return converged, feasible, p_tx, steps
 
 
+def _load_matrix(initial, agent, x_new) -> np.ndarray:
+    """Loads before the first step (row 0) and after each step k (row k).
+
+    Step k sets entry ``agent[k-1]`` to ``x_new[k-1]``; every other entry
+    keeps its previous value.
+    """
+    n = len(initial)
+    steps = len(x_new)
+    values = np.concatenate((np.asarray(initial, dtype=float), np.asarray(x_new, dtype=float)))
+    # Index into ``values`` of each entry's latest setter.  Step indices
+    # (n + k - 1) exceed every initial index, so a running maximum down each
+    # column carries each entry forward until its receiver moves again.
+    src = np.zeros((steps + 1, n), dtype=np.intp)
+    src[0] = np.arange(n)
+    src[np.arange(1, steps + 1), agent] = np.arange(n, n + steps)
+    np.maximum.accumulate(src, axis=0, out=src)
+    return values[src]
+
+
+class RecordedTrial(NamedTuple):
+    """One protocol run with every step kept.
+
+    Step k (1-based) is entry k-1 of ``agent``, ``feedback``, ``probes``,
+    ``case`` (a :class:`Case` value) and ``x_new``, as the step engine saw
+    and decided them.  Row 0 of ``loads`` holds the initial loads and row k
+    the loads after step k; ``powers`` is the array kernel, with currents,
+    on every row of ``loads``.
+    """
+
+    result: TrialResult
+    agent: list[int]
+    feedback: list[tuple[int, ...]]
+    probes: list[tuple[float, float, float]]
+    case: list[int]
+    x_new: list[float]
+    loads: np.ndarray
+    powers: PowerArrays
+
+
+def record_trial(scenario: SystemScenario, config: ProtocolConfig) -> RecordedTrial:
+    """Run one trial and keep every step, for traces and trace files.
+
+    The step engine records only what it decides; the post-step loads and
+    powers come from one array-kernel call over the whole run.
+    """
+    params = _scenario_params(scenario)
+    p_min = params[-1]
+    x = list(draw_initial_loads(scenario, config.seed))
+    initial = tuple(x)
+    p_work = [0.0] * scenario.n
+    agent: list[int] = []
+    feedback: list[tuple[int, ...]] = []
+    probes: list[tuple[float, float, float]] = []
+    case: list[int] = []
+    x_new: list[float] = []
+    # Steps with the same feedback bits share one tuple.
+    bit_vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def on_step(k, n, p_lo, p_hi, c, moved):
+        agent.append(n)
+        bits = tuple([1 if p >= q else 0 for p, q in zip(p_work, p_min)])
+        feedback.append(bit_vectors.setdefault(bits, bits))
+        probes.append((p_lo, p_work[n], p_hi))
+        case.append(c)
+        x_new.append(x[n])
+
+    converged, feasible, p_tx, steps = _trial_engine(
+        params, x, p_work, config.dx, config.k_max, on_step
+    )
+    loads = _load_matrix(initial, agent, x_new)
+    return RecordedTrial(
+        result=TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(x)),
+        agent=agent,
+        feedback=feedback,
+        probes=probes,
+        case=case,
+        x_new=x_new,
+        loads=loads,
+        powers=closed_form_arrays(scenario, loads, currents=True),
+    )
+
+
+def _step_records(run: RecordedTrial) -> tuple[StepRecord, ...]:
+    """The :class:`StepRecord` of every step; unmoved steps share a report."""
+    rows = np.arange(len(run.agent))
+    moved = run.loads[1:][rows, run.agent] != run.loads[:-1][rows, run.agent]
+    reports = run.powers.reports(np.concatenate(([0], np.flatnonzero(moved) + 1)))
+    report = next(reports)
+    cases = {c.value: c for c in Case}
+    records = []
+    for k, (n, fb, probes, c, x_new, step_moved) in enumerate(
+        zip(run.agent, run.feedback, run.probes, run.case, run.x_new, moved.tolist()), 1
+    ):
+        if step_moved:
+            report = next(reports)
+        records.append(StepRecord(k, n, fb, probes, cases[c], x_new, report))
+    return tuple(records)
+
+
+def run_trials(
+    scenario: SystemScenario, config: ProtocolConfig, trials: int
+) -> tuple[TrialResult, ...]:
+    """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording."""
+    if trials < 1:
+        raise ScenarioError(f"trials must be >= 1 (got {trials})")
+    params = _scenario_params(scenario)
+    p_work = [0.0] * scenario.n
+    results: list[TrialResult] = []
+    for seed in range(config.seed, config.seed + trials):
+        x = list(draw_initial_loads(scenario, seed))
+        converged, feasible, p_tx, steps = _trial_engine(
+            params, x, p_work, config.dx, config.k_max
+        )
+        results.append(TrialResult(seed, converged, feasible, steps, p_tx, tuple(x)))
+    return tuple(results)
+
+
 def run_protocol(
     scenario: SystemScenario, config: ProtocolConfig, record: bool = True
 ) -> ProtocolTrace:
@@ -403,42 +534,45 @@ def run_protocol(
     steps or as soon as N consecutive steps were silent (C5).  With
     ``record=False`` only the terminal fields of the trace are populated.
     """
-    params = _scenario_params(scenario)
-    p_min = params[-1]
-    initial = draw_initial_loads(scenario, config.seed)
-    x = list(initial)
-    p_work = [0.0] * scenario.n
-    records: list[StepRecord] = []
-    report = solve_closed_form(scenario, x)
-
-    def on_step(k, n, p_lo, p_hi, case, moved):
-        nonlocal report
-        if moved:
-            report = solve_closed_form(scenario, x)
-        records.append(
-            StepRecord(
-                iteration=k,
-                agent=n,
-                feedback=tuple(1 if p >= q else 0 for p, q in zip(p_work, p_min)),
-                probes=(p_lo, p_work[n], p_hi),
-                case=Case(case),
-                x_new=x[n],
-                report=report,
-            )
-        )
-
-    converged, feasible, _, steps = _trial_engine(
-        params, x, p_work, config.dx, config.k_max, on_step if record else None
-    )
+    if record:
+        run = record_trial(scenario, config)
+        result = run.result
+        records = _step_records(run)
+    else:
+        result = run_trials(scenario, config, 1)[0]
+        records = ()
     return ProtocolTrace(
         config=config,
-        initial=initial,
-        records=tuple(records),
-        iterations=steps,
-        converged=converged,
-        feasible=feasible,
-        final=tuple(x),
-        final_report=solve_closed_form(scenario, x),
+        initial=draw_initial_loads(scenario, config.seed),
+        records=records,
+        iterations=result.iterations,
+        converged=result.converged,
+        feasible=result.feasible,
+        final=result.final,
+        final_report=solve_closed_form(scenario, result.final),
+    )
+
+
+def summarize(results) -> BatchSummary:
+    """Aggregate trial results, in the order given, into a :class:`BatchSummary`.
+
+    The mean transmit power is taken over trials whose final loads meet
+    every demand; when no trial does, :class:`NoFeasibleTrialsError` is
+    raised carrying the results.
+    """
+    results = tuple(results)
+    feasible_ptx = [res.p_tx for res in results if res.feasible]
+    if not feasible_ptx:
+        raise NoFeasibleTrialsError(
+            f"all {len(results)} trials ended with some demand unmet", results
+        )
+    return BatchSummary(
+        trials=len(results),
+        n_feasible=len(feasible_ptx),
+        n_infeasible=len(results) - len(feasible_ptx),
+        n_converged=sum(1 for res in results if res.converged),
+        mean_ptx_feasible=sum(feasible_ptx) / len(feasible_ptx),
+        results=results,
     )
 
 
@@ -453,32 +587,7 @@ def batch_run(
     outcomes are identical to ``run_protocol`` run per seed, just without
     trace recording.
     """
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {trials})")
-
-    params = _scenario_params(scenario)
-    p_work = [0.0] * scenario.n
-    results: list[TrialResult] = []
-    for seed in range(config.seed, config.seed + trials):
-        x = list(draw_initial_loads(scenario, seed))
-        converged, feasible, p_tx, steps = _trial_engine(
-            params, x, p_work, config.dx, config.k_max
-        )
-        results.append(TrialResult(seed, converged, feasible, steps, p_tx, tuple(x)))
-
-    feasible_ptx = [res.p_tx for res in results if res.feasible]
-    if not feasible_ptx:
-        raise NoFeasibleTrialsError(
-            f"all {trials} trials ended with some demand unmet", tuple(results)
-        )
-    return BatchSummary(
-        trials=trials,
-        n_feasible=len(feasible_ptx),
-        n_infeasible=trials - len(feasible_ptx),
-        n_converged=sum(1 for res in results if res.converged),
-        mean_ptx_feasible=sum(feasible_ptx) / len(feasible_ptx),
-        results=tuple(results),
-    )
+    return summarize(run_trials(scenario, config, trials))
 
 
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
@@ -488,58 +597,87 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     powers, the case decision, the clamped update, bounds safety, and the
     single-mutator property; then checks the terminal convergence and
     feasibility flags.  Returns a list of human-readable violations (empty
-    for a sound trace).  All comparisons are exact: the replay runs the
-    scalar reference, whose arithmetic the step engine mirrors.
+    for a sound trace).  All comparisons are exact.
+
+    Every power is recomputed from loads, never read from the trace: the
+    loads before and after each step follow the recorded agents and
+    ``x_new`` values, and the array kernel evaluates them and both probes
+    of every step in a few whole-trace calls.  The kernel shares no code
+    with the step engine that made the trace.
     """
     violations: list[str] = []
     n_agents = scenario.n
     p_min = [rec.p_min for rec in scenario.receivers]
     dx = trace.config.dx
-    xs = list(trace.initial)
-    report = solve_closed_form(scenario, xs)
+    records = trace.records
+    cols = np.array([step.agent for step in records], dtype=np.intp)
+    rows = np.arange(len(records))
+    loads = _load_matrix(trace.initial, cols, [step.x_new for step in records])
 
-    for idx, step in enumerate(trace.records):
-        k = idx + 1
-        tag = f"step {k}"
-        if step.iteration != k:
-            violations.append(f"{tag}: iteration index {step.iteration} != {k}")
-        n = (k - 1) % n_agents
-        if step.agent != n:
-            violations.append(f"{tag}: agent {step.agent} breaks round-robin order")
-            n = step.agent  # follow the trace to keep later checks meaningful
+    powers = closed_form_arrays(scenario, loads)
+    fed = powers.p >= np.array(p_min)
+    before = loads[:-1]
+    x_own = before[rows, cols]
+    probe = before.copy()
+    lo = x_own - dx
+    # A lower probe that would not be positive is taken at x_n / 2.
+    probe[rows, cols] = np.where(lo > 0.0, lo, 0.5 * x_own)
+    p_lo = closed_form_arrays(scenario, probe).p[rows, cols]
+    probe[rows, cols] = x_own + dx
+    p_hi = closed_form_arrays(scenario, probe).p[rows, cols]
+    others_fed = fed[:-1].sum(axis=1) - fed[:-1][rows, cols] == n_agents - 1
 
-        feedback = tuple(1 if report.p[m] >= p_min[m] else 0 for m in range(n_agents))
-        if step.feedback != feedback:
-            violations.append(f"{tag}: feedback {step.feedback} not truthful ({feedback})")
+    per_step = (
+        cols,
+        x_own,
+        p_lo,
+        powers.p[:-1][rows, cols],
+        p_hi,
+        fed[:-1].astype(int),
+        others_fed,
+        powers.p[1:],
+        powers.p_tx[1:],
+    )
+    # Steps are compared in blocks, so that the Python objects of only one
+    # block exist besides the trace.
+    for start in range(0, len(records), _BLOCK):
+        block = zip(
+            records[start:start + _BLOCK], *(a[start:start + _BLOCK].tolist() for a in per_step)
+        )
+        for k, (step, n, x_n, p_lo, p_own, p_hi, feedback, all_fed, p_after, ptx_after) in (
+            enumerate(block, start + 1)
+        ):
+            tag = f"step {k}"
+            if step.iteration != k:
+                violations.append(f"{tag}: iteration index {step.iteration} != {k}")
+            if step.agent != (k - 1) % n_agents:
+                violations.append(f"{tag}: agent {step.agent} breaks round-robin order")
 
-        x_n = xs[n]
-        p_own = report.p[n]
-        p_lo, p_hi, position = _probe(scenario, xs, n, dx, p_own)
-        if step.probes != (p_lo, p_own, p_hi):
-            violations.append(f"{tag}: probe powers differ from replay")
+            feedback = tuple(feedback)
+            if step.feedback != feedback:
+                violations.append(f"{tag}: feedback {step.feedback} not truthful ({feedback})")
+            if step.probes != (p_lo, p_own, p_hi):
+                violations.append(f"{tag}: probe powers differ from replay")
 
-        others_fed = all(feedback[m] == 1 for m in range(n_agents) if m != n)
-        case = decide_case(p_own, p_min[n], position, others_fed)
-        if step.case != case:
-            violations.append(f"{tag}: case {step.case.name}, replay says {case.name}")
+            case = decide_case(p_own, p_min[n], _position(p_lo, p_own, p_hi), all_fed)
+            if step.case != case:
+                violations.append(f"{tag}: case {step.case.name}, replay says {case.name}")
 
-        rec = scenario.receivers[n]
-        x_expected = _apply_case(case, x_n, dx, rec.x_min, rec.x_max)
-        if step.x_new != x_expected:
-            violations.append(f"{tag}: x_new {step.x_new} != expected {x_expected}")
-        if not rec.x_min <= step.x_new <= rec.x_max:
-            violations.append(f"{tag}: x_new {step.x_new} violates bounds")
-        # Representation slack: x +- dx rounds to within a few ulp of x.
-        delta = abs(step.x_new - x_n)
-        if step.x_new != x_n and delta > dx + 32.0 * math.ulp(abs(x_n)):
-            violations.append(f"{tag}: move {delta} larger than dx")
+            rec = scenario.receivers[n]
+            x_expected = _apply_case(case, x_n, dx, rec.x_min, rec.x_max)
+            if step.x_new != x_expected:
+                violations.append(f"{tag}: x_new {step.x_new} != expected {x_expected}")
+            if not rec.x_min <= step.x_new <= rec.x_max:
+                violations.append(f"{tag}: x_new {step.x_new} violates bounds")
+            # Representation slack: x +- dx rounds to within a few ulp of x.
+            delta = abs(step.x_new - x_n)
+            if step.x_new != x_n and delta > dx + 32.0 * math.ulp(abs(x_n)):
+                violations.append(f"{tag}: move {delta} larger than dx")
 
-        xs[n] = step.x_new
-        report = solve_closed_form(scenario, xs)
-        if step.report.p != report.p or step.report.p_tx != report.p_tx:
-            violations.append(f"{tag}: recorded post-step report differs from replay")
+            if step.report.p != tuple(p_after) or step.report.p_tx != ptx_after:
+                violations.append(f"{tag}: recorded post-step report differs from replay")
 
-    if tuple(xs) != trace.final:
+    if tuple(loads[-1].tolist()) != trace.final:
         violations.append("final loads differ from replayed loads")
     if trace.converged:
         tail = trace.records[-n_agents:]

@@ -197,6 +197,7 @@ def test_c4_centralized_optimality_desk_scale():
 
 DEMAND_POINTS = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 FIG3_SEED = 1000
+FIG3_TRIALS = 200
 FIG3_CONFIG = dict(dx=1e-3, k_max=100_000)
 FIG3_BUDGET_S = 30 * 60
 
@@ -205,31 +206,15 @@ FIG3_BUDGET_S = 30 * 60
 def fig3_comparison(fig3):
     """Run the optimizer-versus-protocol comparison once for both C5 tests.
 
-    200 trials per demand point as stated; drops to 20 trials (and says so)
-    only if a one-trial calibration projects the run beyond 80% of the
-    30-minute budget, that is on a host where one 1e5-step trial takes more
-    than about 0.72 s.
+    200 trials per demand point, as stated, on every host.
     """
     t0 = time.perf_counter()
-    calib = fig3_with_demand(fig3, DEMAND_POINTS[0])
-    # Warm-up run, so that the calibration times a steady-state trial.
-    batch_run(calib, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=1)
-    t_one = time.perf_counter()
-    batch_run(calib, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=1)
-    t_one = time.perf_counter() - t_one
-
-    trials = 200
-    projected = t_one * trials * len(DEMAND_POINTS)
-    reduced = projected > FIG3_BUDGET_S * 0.8
-    if reduced:
-        trials = 20
-
     points = []
     for p3 in DEMAND_POINTS:
         s = fig3_with_demand(fig3, p3)
         opt = minimize_ptx(s, dz=1e-3)
         assert opt.is_optimal
-        summary = batch_run(s, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=trials)
+        summary = batch_run(s, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=FIG3_TRIALS)
         n_feas_conv = sum(1 for r in summary.results if r.feasible and r.converged)
         points.append(
             {
@@ -243,7 +228,7 @@ def fig3_comparison(fig3):
             }
         )
     elapsed = time.perf_counter() - t0
-    return {"points": points, "trials": trials, "reduced": reduced, "elapsed": elapsed}
+    return {"points": points, "trials": FIG3_TRIALS, "elapsed": elapsed}
 
 
 def _print_fig3_report(data):
@@ -251,7 +236,6 @@ def _print_fig3_report(data):
         f"ACCEPTANCE C5 comparison: {data['trials']} trials/point, "
         f"dx=1e-3, k_max=1e5, seed base {FIG3_SEED}, "
         f"runtime {data['elapsed']:.0f} s"
-        + (" [REDUCED to 20 trials: 30-minute budget projection]" if data["reduced"] else "")
     )
     print(
         "  p3[W]  centralized[W]  distributed-mean[W]  gap     "

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mrc_wpt.circuit import (
     TransmitterSpec,
     admittance_first_column,
     build_impedance_matrix,
+    closed_form_arrays,
     det_impedance,
     input_resistance,
     solve_closed_form,
@@ -214,3 +216,69 @@ class TestOracleEquivalence:
         assert rel(rep.p_tx, 0.5 * (v * rep.i_tx.conjugate()).real) < 1e-14
         for k, x in enumerate(BENCH_LOADS):
             assert rel(rep.p[k], 0.5 * x * abs(rep.i[k]) ** 2) < 1e-14
+
+
+def _bits(value) -> bytes:
+    """Exact bit pattern of a float or complex."""
+    c = complex(value)
+    return struct.pack("<dd", c.real, c.imag)
+
+
+class TestClosedFormArrays:
+    """The array kernel against ``solve_closed_form``, bit for bit."""
+
+    @staticmethod
+    def load_rows(rng, scenario, rows=60):
+        """Loads inside and outside the box, plus lower probes at x/2."""
+        lo = np.array([rec.x_min for rec in scenario.receivers])
+        hi = np.array([rec.x_max for rec in scenario.receivers])
+        inside = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(rows, scenario.n)))
+        outside = np.exp(rng.uniform(np.log(lo / 100), np.log(hi * 100), size=(rows, scenario.n)))
+        halved = inside.copy()
+        cols = rng.integers(0, scenario.n, size=rows)
+        halved[np.arange(rows), cols] *= 0.5
+        return np.vstack((inside, outside, halved))
+
+    def assert_rows_match(self, scenario, table):
+        arrays = closed_form_arrays(scenario, table, currents=True)
+        for row, loads in enumerate(table.tolist()):
+            ref = solve_closed_form(scenario, loads)
+            assert _bits(arrays.r_in[row]) == _bits(input_resistance(scenario, loads))
+            assert _bits(arrays.p_tx[row]) == _bits(ref.p_tx)
+            assert _bits(arrays.p_sum[row]) == _bits(ref.p_sum)
+            assert [_bits(v) for v in arrays.p[row]] == [_bits(v) for v in ref.p]
+            assert _bits(arrays.i_tx[row]) == _bits(ref.i_tx)
+            assert [_bits(v) for v in arrays.i[row]] == [_bits(v) for v in ref.i]
+        assert list(arrays.reports()) == [solve_closed_form(scenario, x) for x in table.tolist()]
+        picked = [2, 0, len(table) - 1]
+        assert list(arrays.reports(picked)) == [solve_closed_form(scenario, table[r]) for r in picked]
+
+    def test_bundled_scenarios(self, fig2, fig3, rng):
+        for scenario in (fig2, fig3):
+            self.assert_rows_match(scenario, self.load_rows(rng, scenario))
+
+    def test_random_scenarios(self, rng):
+        for i in range(50):
+            scenario = random_scenario(rng, n_receivers=1 + i % 8)
+            self.assert_rows_match(scenario, self.load_rows(rng, scenario, rows=20))
+
+    def test_stack_shapes(self, fig3, rng):
+        table = self.load_rows(rng, fig3, rows=4).reshape(3, 4, 3)
+        arrays = closed_form_arrays(fig3, table, currents=True)
+        assert arrays.p.shape == (3, 4, 3) and arrays.i.shape == (3, 4, 3)
+        assert arrays.p_tx.shape == arrays.p_sum.shape == arrays.i_tx.shape == (3, 4)
+        flat = closed_form_arrays(fig3, table.reshape(12, 3))
+        assert np.array_equal(arrays.p.reshape(12, 3), flat.p)
+        one = closed_form_arrays(fig3, BENCH_LOADS)
+        assert one.p.tolist() == list(solve_closed_form(fig3, BENCH_LOADS).p)
+        assert float(one.p_tx) == solve_closed_form(fig3, BENCH_LOADS).p_tx
+
+    def test_rejects_bad_loads(self, fig3):
+        with pytest.raises(ScenarioError, match="shape"):
+            closed_form_arrays(fig3, np.ones((2, 2)))
+        with pytest.raises(ScenarioError, match=r"x\[1\] must be > 0 \(got 0.0\)"):
+            closed_form_arrays(fig3, [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(ScenarioError, match=r"x\[2\] must be > 0"):
+            closed_form_arrays(fig3, [1.0, 1.0, np.inf])
+        with pytest.raises(ValueError, match="currents"):
+            list(closed_form_arrays(fig3, np.ones((2, 3))).reports())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrc_wpt.cli import main
-from mrc_wpt.distributed import ProtocolConfig, run_protocol
+from mrc_wpt.distributed import ProtocolConfig, batch_run, run_protocol
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
 
@@ -156,6 +156,31 @@ class TestSimulateCommand:
         assert len(t_body) - 1 == reference.iterations
         last = t_body[-1].split(",")
         assert [float(v) for v in last[4:7]] == pytest.approx(list(reference.final))
+
+    def test_traced_trial_is_trial_one(self, tmp_path, fig2):
+        # The traced run is the summary's first trial; the summary is the
+        # same with and without --trace, and equals batch_run's.
+        for trials in (1, 3):
+            config = ProtocolConfig(dx=1e-3, k_max=1500, seed=5)
+            summary = batch_run(fig2, config, trials=trials)
+            expected = ",".join(
+                [str(summary.trials), str(summary.n_feasible), str(summary.n_infeasible),
+                 str(summary.n_converged), format(summary.mean_ptx_feasible, ".16e")]
+            )
+            args = ["simulate", "--scenario", "paper-fig2", "--dx", "1e-3", "--kmax", "1500",
+                    "--trials", str(trials), "--seed", "5"]
+            traced, plain = tmp_path / "traced.csv", tmp_path / "plain.csv"
+            assert main(args + ["--trace", str(tmp_path / "t.csv"), "--out", str(traced)]) == 0
+            assert main(args + ["--out", str(plain)]) == 0
+            assert read_output(traced)[1][1] == read_output(plain)[1][1] == expected
+
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = main(["simulate", "--scenario", "paper-fig2", "--trials", "0",
+                     "--trace", str(trace), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_all_infeasible_exits_nonzero(self, tmp_path, fig3, capsys):
         from dataclasses import replace

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -301,3 +302,108 @@ class TestConfig:
             ProtocolConfig(dx=0.0)
         with pytest.raises(ScenarioError):
             ProtocolConfig(k_max=0)
+
+
+class TestVerifyTraceChecks:
+    """Each check of ``verify_trace``, hit by mutating one field of a clean trace."""
+
+    STEP = 200  # 1-based step that the record mutations change
+
+    @pytest.fixture(scope="class")
+    def trace(self, fig3):
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=600, seed=5))
+        assert verify_trace(fig3, trace) == []
+        assert not trace.converged
+        return trace
+
+    def with_step(self, trace, **fields):
+        i = self.STEP - 1
+        step = replace(trace.records[i], **fields)
+        return replace(trace, records=trace.records[:i] + (step,) + trace.records[i + 1:])
+
+    def with_last_x_new(self, scenario, trace, x_new):
+        """The last step moved to ``x_new``, with its report, final loads and
+        feasible flag made consistent with that load."""
+        last = trace.records[-1]
+        final = list(trace.final)
+        final[last.agent] = x_new
+        report = solve_closed_form(scenario, final)
+        step = replace(last, x_new=x_new, report=report)
+        feasible = all(p >= rec.p_min for p, rec in zip(report.p, scenario.receivers))
+        return replace(
+            trace, records=trace.records[:-1] + (step,), final=tuple(final), feasible=feasible
+        )
+
+    def test_iteration(self, fig3, trace):
+        bad = self.with_step(trace, iteration=999)
+        assert verify_trace(fig3, bad) == [f"step {self.STEP}: iteration index 999 != {self.STEP}"]
+
+    def test_agent_order(self, fig3, trace):
+        agent = (trace.records[self.STEP - 1].agent + 1) % fig3.n
+        violations = verify_trace(fig3, self.with_step(trace, agent=agent))
+        assert violations[0] == f"step {self.STEP}: agent {agent} breaks round-robin order"
+
+    def test_feedback(self, fig3, trace):
+        step = trace.records[self.STEP - 1]
+        other = (step.agent + 1) % fig3.n
+        bits = tuple(1 - b if m == other else b for m, b in enumerate(step.feedback))
+        assert verify_trace(fig3, self.with_step(trace, feedback=bits)) == [
+            f"step {self.STEP}: feedback {bits} not truthful ({step.feedback})"
+        ]
+
+    def test_probes(self, fig3, trace):
+        p_lo, p_own, p_hi = trace.records[self.STEP - 1].probes
+        bad = self.with_step(trace, probes=(p_lo, p_own, p_hi * (1 + 1e-15)))
+        assert verify_trace(fig3, bad) == [f"step {self.STEP}: probe powers differ from replay"]
+
+    def test_case(self, fig3, trace):
+        case = trace.records[self.STEP - 1].case
+        wrong = Case.C5 if case is not Case.C5 else Case.C1
+        assert verify_trace(fig3, self.with_step(trace, case=wrong)) == [
+            f"step {self.STEP}: case {wrong.name}, replay says {case.name}"
+        ]
+
+    def test_x_new(self, fig3, trace):
+        last = trace.records[-1]
+        rec = fig3.receivers[last.agent]
+        x_new = math.nextafter(last.x_new, (rec.x_min + rec.x_max) / 2)
+        bad = self.with_last_x_new(fig3, trace, x_new)
+        assert verify_trace(fig3, bad) == [
+            f"step {last.iteration}: x_new {x_new} != expected {last.x_new}"
+        ]
+
+    def test_bounds(self, fig3, trace):
+        last = trace.records[-1]
+        x_new = fig3.receivers[last.agent].x_max + 1.0
+        violations = verify_trace(fig3, self.with_last_x_new(fig3, trace, x_new))
+        assert f"step {last.iteration}: x_new {x_new} violates bounds" in violations
+
+    def test_move_larger_than_dx(self, fig3, trace):
+        last = trace.records[-1]
+        x_before = trace.records[-1 - fig3.n].x_new
+        x_new = x_before - 3e-3
+        violations = verify_trace(fig3, self.with_last_x_new(fig3, trace, x_new))
+        assert f"step {last.iteration}: move {abs(x_new - x_before)} larger than dx" in violations
+
+    def test_post_step_report(self, fig3, trace):
+        report = solve_closed_form(fig3, BENCH_LOADS)
+        assert verify_trace(fig3, self.with_step(trace, report=report)) == [
+            f"step {self.STEP}: recorded post-step report differs from replay"
+        ]
+
+    def test_final_loads(self, fig3, trace):
+        final = trace.final[:-1] + (math.nextafter(trace.final[-1], 0.0),)
+        report = solve_closed_form(fig3, final)
+        feasible = all(p >= rec.p_min for p, rec in zip(report.p, fig3.receivers))
+        bad = replace(trace, final=final, feasible=feasible)
+        assert verify_trace(fig3, bad) == ["final loads differ from replayed loads"]
+
+    def test_converged_flag(self, fig3, trace):
+        bad = replace(trace, converged=True)
+        assert verify_trace(fig3, bad) == ["converged flag set without N trailing C5 steps"]
+
+    def test_feasible_flag(self, fig3, trace):
+        flag = not trace.feasible
+        assert verify_trace(fig3, replace(trace, feasible=flag)) == [
+            f"feasible flag {flag} does not match replay ({trace.feasible})"
+        ]
