@@ -48,7 +48,6 @@ from .distributed import (
     PeakPosition,
     ProtocolConfig,
     ProtocolTrace,
-    StepRecord,
     TrialResult,
     agent_step,
     batch_run,
@@ -92,7 +91,6 @@ __all__ = [
     "Case",
     "PeakPosition",
     "ProtocolConfig",
-    "StepRecord",
     "ProtocolTrace",
     "TrialResult",
     "BatchSummary",

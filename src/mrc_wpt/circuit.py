@@ -312,19 +312,17 @@ class PowerArrays(NamedTuple):
     i_tx: np.ndarray | None = None
     i: np.ndarray | None = None
 
-    def reports(self, rows=None) -> Iterator[PowerReport]:
+    def reports(self) -> Iterator[PowerReport]:
         """Yield one :class:`PowerReport` per row of a 2-D stack, in order.
 
-        ``rows`` selects row indices (default: every row).  Needs the
-        currents; each report equals ``solve_closed_form`` on that row's
-        loads.  Rows are converted in blocks, so the Python objects of only
-        one block exist besides the reports themselves.
+        Needs the currents; each report equals ``solve_closed_form`` on that
+        row's loads.  Rows are converted in blocks, so the Python objects of
+        only one block exist besides the reports themselves.
         """
         if self.i is None:
             raise ValueError("reports need the currents: evaluate with currents=True")
-        rows = np.arange(len(self.p_tx)) if rows is None else np.asarray(rows, dtype=np.intp)
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
+        for start in range(0, len(self.p_tx), _BLOCK):
+            block = slice(start, start + _BLOCK)
             yield from (
                 PowerReport(i_tx=i_tx, i=tuple(i), p_tx=p_tx, p=tuple(p), p_sum=p_sum)
                 for i_tx, i, p_tx, p, p_sum in zip(

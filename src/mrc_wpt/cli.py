@@ -11,7 +11,6 @@ a property failed).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -23,13 +22,15 @@ import numpy as np
 from . import __version__
 from .analysis import sweep
 from .centralized import minimize_ptx
-from .circuit import _BLOCK, ScenarioError
+from .circuit import _BLOCK, ScenarioError, closed_form_arrays
 from .distributed import (
     Case,
     NoFeasibleTrialsError,
     ProtocolConfig,
-    RecordedTrial,
-    record_trial,
+    ProtocolTrace,
+    TrialResult,
+    _load_matrix,
+    run_protocol,
     run_trials,
     summarize,
 )
@@ -64,17 +65,25 @@ class RunManifest:
         return "# " + json.dumps(payload, sort_keys=True)
 
 
-def _fmt(value: float) -> str:
-    """17 significant decimal digits: round-trips doubles exactly."""
-    return format(float(value), ".16e")
+def _floats(count: int) -> str:
+    """Line format of ``count`` floats, each with 17 significant decimal
+    digits, which round-trips doubles exactly."""
+    return ",".join(["%.16e"] * count)
 
 
-def _write_csv(path: str, manifest: RunManifest, header: list[str], rows) -> None:
+def _write_csv(path: str, manifest: RunManifest, header: list[str], line: str, rows) -> None:
+    """Write the manifest line, the header, then ``line % row`` for each row.
+
+    No field needs quoting and lines end in CRLF, so the body is what
+    ``csv.writer`` writes for the same fields; formatting a whole line at
+    once is what keeps a 50,000-point sweep or a 1e5-step trace cheap.
+    """
+    line += "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(line % row)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -154,10 +163,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.out,
         manifest,
         header,
-        (
-            [_fmt(x)] + [_fmt(rep.p_tx)] + [_fmt(p) for p in rep.p] + [_fmt(rep.p_sum)]
-            for x, rep in rows
-        ),
+        _floats(scenario.n + 3),
+        ((x, rep.p_tx, *rep.p, rep.p_sum) for x, rep in rows),
     )
     return 0
 
@@ -177,14 +184,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         + [f"p_{k + 1}" for k in range(scenario.n)]
     )
     if result.is_optimal:
-        row = (
-            ["optimal", _fmt(result.z_star), _fmt(result.report.p_tx)]
-            + [_fmt(v) for v in result.loads]
-            + [_fmt(p) for p in result.report.p]
-        )
+        line = "optimal," + _floats(2 + 2 * scenario.n)
+        row = (result.z_star, result.report.p_tx, *result.loads, *result.report.p)
     else:
-        row = ["infeasible"] + [""] * (2 + 2 * scenario.n)
-    _write_csv(args.out, manifest, header, [row])
+        line, row = "infeasible" + "," * (2 + 2 * scenario.n), ()
+    _write_csv(args.out, manifest, header, line, [row])
     if not result.is_optimal:
         print(
             f"optimize: no feasible load setting ({result.iterations} candidates examined)",
@@ -193,24 +197,25 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_trace(path: str, manifest: RunManifest, header: list[str], run: RecordedTrial) -> None:
-    """Write a recorded trial's trace, one line per step, straight from its arrays.
-
-    Each line is what ``csv.writer`` writes for the step's fields (none needs
-    quoting), with every number in ``_fmt``'s format; formatting a whole
-    line at once is what keeps a 1e5-step trace cheap.
-    """
-    n = run.loads.shape[1]
-    line = "%d,%d,%s,%s," + ",".join(["%.16e"] * (2 * n + 1)) + "\r\n"
+def _trace_rows(scenario, trace: ProtocolTrace):
+    """One CSV row per recorded step: its fields, then the loads after it and
+    their powers, which one array-kernel call gives for the whole run."""
+    records = trace.records
+    loads = _load_matrix(trace.initial, records["x_new"])[1:]
+    powers = closed_form_arrays(scenario, loads)
+    numbers = np.hstack((loads, powers.p_tx[:, None], powers.p))
+    bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
     names = {case.value: case.name for case in Case}
-    numbers = np.hstack((run.loads[1:], run.powers.p_tx[1:, None], run.powers.p[1:]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest.header_line() + "\n")
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(numbers), _BLOCK):
-            for k, values in enumerate(numbers[start:start + _BLOCK].tolist(), start):
-                bits = "".join(map(str, run.feedback[k]))
-                fh.write(line % (k + 1, run.agent[k] + 1, bits, names[run.case[k]], *values))
+    for start in range(0, len(records), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        for k, n, fb, case, values in zip(
+            range(start + 1, start + _BLOCK + 1),
+            records["agent"][block].tolist(),
+            bits[block, 0].astype(str).tolist(),
+            records["case"][block].tolist(),
+            numbers[block].tolist(),
+        ):
+            yield (k, n + 1, fb, names[case], *values)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -235,15 +240,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     results: tuple = ()
     if args.trace:
         # The traced run is trial 1; the untraced trials follow it.
-        run = record_trial(scenario, config)
+        trace = run_protocol(scenario, config, record=True)
         header = (
             ["iter", "n", "fb_bits", "case"]
             + [f"x_{k + 1}" for k in range(scenario.n)]
             + ["p_tx"]
             + [f"p_{k + 1}" for k in range(scenario.n)]
         )
-        _write_trace(args.trace, manifest, header, run)
-        results = (run.result,)
+        line = "%d,%d,%s,%s," + _floats(2 * scenario.n + 1)
+        _write_csv(args.trace, manifest, header, line, _trace_rows(scenario, trace))
+        results = (
+            TrialResult(
+                config.seed,
+                trace.converged,
+                trace.feasible,
+                trace.iterations,
+                trace.final_report.p_tx,
+                trace.final,
+            ),
+        )
     if args.trials > len(results):
         rest = replace(config, seed=config.seed + len(results))
         results += run_trials(scenario, rest, args.trials - len(results))
@@ -258,14 +273,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.out,
         manifest,
         ["trials", "n_feasible", "n_infeasible", "n_converged", "mean_ptx_feasible"],
+        "%d,%d,%d,%d,%.16e",
         [
-            [
-                str(summary.trials),
-                str(summary.n_feasible),
-                str(summary.n_infeasible),
-                str(summary.n_converged),
-                _fmt(summary.mean_ptx_feasible),
-            ]
+            (
+                summary.trials,
+                summary.n_feasible,
+                summary.n_infeasible,
+                summary.n_converged,
+                summary.mean_ptx_feasible,
+            )
         ],
     )
     return 0

@@ -18,8 +18,9 @@ A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
 Implementation note: ``_trial_engine`` is the one simulator of the
-protocol.  ``batch_run`` runs it bare and ``record_trial`` (behind
-``run_protocol`` and ``simulate --trace``) runs it with a step recorder.  Its
+protocol.  ``batch_run`` runs it bare and ``run_protocol`` runs it with a
+step recorder that fills one structured array, the trace's ``records``,
+which ``verify_trace`` checks and ``simulate --trace`` writes out.  Its
 power expressions mirror ``circuit.solve_closed_form`` operation for
 operation, and so does the array kernel ``circuit.closed_form_arrays``, so
 simulated measurements, recorded traces, the scalar replay of
@@ -29,15 +30,13 @@ simulated measurements, recorded traces, the scalar replay of
 from __future__ import annotations
 
 import enum
-import math
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circuit import (
-    _BLOCK,
-    PowerArrays,
     PowerReport,
     ScenarioError,
     SystemScenario,
@@ -51,17 +50,14 @@ __all__ = [
     "Case",
     "PeakPosition",
     "ProtocolConfig",
-    "StepRecord",
     "ProtocolTrace",
     "TrialResult",
     "BatchSummary",
-    "RecordedTrial",
     "NoFeasibleTrialsError",
     "draw_initial_loads",
     "classify_position",
     "decide_case",
     "agent_step",
-    "record_trial",
     "run_protocol",
     "run_trials",
     "summarize",
@@ -114,32 +110,35 @@ class ProtocolConfig:
             raise ScenarioError(f"k_max must be >= 1 (got {self.k_max})")
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
-    """One agent step: what the receiver saw and what it did.
-
-    ``feedback`` is the full N-bit vector sampled at the start of the step
-    (the active receiver consumes the other N-1 bits).  ``probes`` holds the
-    measured power at ``x_n - dx``, ``x_n``, ``x_n + dx``.  ``report`` is the
-    full power report after the update was applied.
-    """
-
-    iteration: int
-    agent: int
-    feedback: tuple[int, ...]
-    probes: tuple[float, float, float]
-    case: Case
-    x_new: float
-    report: PowerReport
+def _step_dtype(n: int) -> np.dtype:
+    """Row type of :attr:`ProtocolTrace.records` for ``n`` receivers."""
+    return np.dtype(
+        [
+            ("agent", np.intp),
+            ("feedback", np.uint8, (n,)),
+            ("probes", np.float64, (3,)),
+            ("case", np.int8),
+            ("x_new", np.float64),
+        ]
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTrace:
-    """Complete record of one protocol run."""
+    """Complete record of one protocol run.
+
+    ``records`` is a structured array with one row per step; row k-1 holds
+    step k: the active receiver ``agent``, the full N-bit ``feedback``
+    vector sampled at the start of the step (the active receiver consumes
+    the other N-1 bits), the ``probes`` ``p_lo, p_own, p_hi`` measured at
+    ``x_n - dx``, ``x_n``, ``x_n + dx``, the ``case`` taken (a :class:`Case`
+    value) and the load ``x_new`` it left.  A run without recording has no
+    rows.  Because ``records`` is an array, traces compare by identity.
+    """
 
     config: ProtocolConfig
     initial: tuple[float, ...]
-    records: tuple[StepRecord, ...]
+    records: np.ndarray
     iterations: int
     converged: bool
     feasible: bool
@@ -286,7 +285,7 @@ def agent_step(
 # --- step engine -----------------------------------------------------------
 #
 # The only code that simulates the protocol: ``run_trials`` runs it bare and
-# ``record_trial`` runs it with a recorder.  It works on plain lists of
+# ``run_protocol`` runs it with a recorder.  It works on plain lists of
 # floats, and its arithmetic must stay expression-for-expression identical to
 # ``solve_closed_form``; the test suite replays engine-made traces through
 # the scalar reference above and asserts bit-equality.
@@ -309,9 +308,9 @@ def _scenario_params(scenario: SystemScenario):
 def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     """Run one trial in place on ``x``.  Returns (converged, feasible, p_tx, steps).
 
-    ``params`` comes from ``_scenario_params``.  When given, ``on_step(k, n,
-    p_lo, p_hi, case, moved)`` is called after step ``k`` has updated
-    ``x[n]``, while ``p_work`` still holds the powers the step started from.
+    ``params`` comes from ``_scenario_params``.  When given, ``on_step(n,
+    p_lo, p_hi, case)`` is called after each step has updated ``x[n]``,
+    while ``p_work`` still holds the powers the step started from.
     """
     r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
     n_agents = len(x)
@@ -382,7 +381,7 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
             x[n] = max(x_min[n], x_n - dx)
 
         if on_step is not None:
-            on_step(steps, n, p_lo, p_hi, case, x[n] != x_n)
+            on_step(n, p_lo, p_hi, case)
 
         if case == 5:
             trailing_c5 += 1
@@ -406,11 +405,11 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     return converged, feasible, p_tx, steps
 
 
-def _load_matrix(initial, agent, x_new) -> np.ndarray:
+def _load_matrix(initial, x_new) -> np.ndarray:
     """Loads before the first step (row 0) and after each step k (row k).
 
-    Step k sets entry ``agent[k-1]`` to ``x_new[k-1]``; every other entry
-    keeps its previous value.
+    Step k sets entry ``(k-1) % N``, the protocol's round-robin agent, to
+    ``x_new[k-1]``; every other entry keeps its previous value.
     """
     n = len(initial)
     steps = len(x_new)
@@ -420,89 +419,9 @@ def _load_matrix(initial, agent, x_new) -> np.ndarray:
     # column carries each entry forward until its receiver moves again.
     src = np.zeros((steps + 1, n), dtype=np.intp)
     src[0] = np.arange(n)
-    src[np.arange(1, steps + 1), agent] = np.arange(n, n + steps)
+    src[np.arange(1, steps + 1), np.arange(steps) % n] = np.arange(n, n + steps)
     np.maximum.accumulate(src, axis=0, out=src)
     return values[src]
-
-
-class RecordedTrial(NamedTuple):
-    """One protocol run with every step kept.
-
-    Step k (1-based) is entry k-1 of ``agent``, ``feedback``, ``probes``,
-    ``case`` (a :class:`Case` value) and ``x_new``, as the step engine saw
-    and decided them.  Row 0 of ``loads`` holds the initial loads and row k
-    the loads after step k; ``powers`` is the array kernel, with currents,
-    on every row of ``loads``.
-    """
-
-    result: TrialResult
-    agent: list[int]
-    feedback: list[tuple[int, ...]]
-    probes: list[tuple[float, float, float]]
-    case: list[int]
-    x_new: list[float]
-    loads: np.ndarray
-    powers: PowerArrays
-
-
-def record_trial(scenario: SystemScenario, config: ProtocolConfig) -> RecordedTrial:
-    """Run one trial and keep every step, for traces and trace files.
-
-    The step engine records only what it decides; the post-step loads and
-    powers come from one array-kernel call over the whole run.
-    """
-    params = _scenario_params(scenario)
-    p_min = params[-1]
-    x = list(draw_initial_loads(scenario, config.seed))
-    initial = tuple(x)
-    p_work = [0.0] * scenario.n
-    agent: list[int] = []
-    feedback: list[tuple[int, ...]] = []
-    probes: list[tuple[float, float, float]] = []
-    case: list[int] = []
-    x_new: list[float] = []
-    # Steps with the same feedback bits share one tuple.
-    bit_vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def on_step(k, n, p_lo, p_hi, c, moved):
-        agent.append(n)
-        bits = tuple([1 if p >= q else 0 for p, q in zip(p_work, p_min)])
-        feedback.append(bit_vectors.setdefault(bits, bits))
-        probes.append((p_lo, p_work[n], p_hi))
-        case.append(c)
-        x_new.append(x[n])
-
-    converged, feasible, p_tx, steps = _trial_engine(
-        params, x, p_work, config.dx, config.k_max, on_step
-    )
-    loads = _load_matrix(initial, agent, x_new)
-    return RecordedTrial(
-        result=TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(x)),
-        agent=agent,
-        feedback=feedback,
-        probes=probes,
-        case=case,
-        x_new=x_new,
-        loads=loads,
-        powers=closed_form_arrays(scenario, loads, currents=True),
-    )
-
-
-def _step_records(run: RecordedTrial) -> tuple[StepRecord, ...]:
-    """The :class:`StepRecord` of every step; unmoved steps share a report."""
-    rows = np.arange(len(run.agent))
-    moved = run.loads[1:][rows, run.agent] != run.loads[:-1][rows, run.agent]
-    reports = run.powers.reports(np.concatenate(([0], np.flatnonzero(moved) + 1)))
-    report = next(reports)
-    cases = {c.value: c for c in Case}
-    records = []
-    for k, (n, fb, probes, c, x_new, step_moved) in enumerate(
-        zip(run.agent, run.feedback, run.probes, run.case, run.x_new, moved.tolist()), 1
-    ):
-        if step_moved:
-            report = next(reports)
-        records.append(StepRecord(k, n, fb, probes, cases[c], x_new, report))
-    return tuple(records)
 
 
 def run_trials(
@@ -532,24 +451,45 @@ def run_protocol(
     receiver sees feedback bits sampled at the start of the step (before it
     probes), applies one rule from C1-C5, and the loop stops at ``k_max``
     steps or as soon as N consecutive steps were silent (C5).  With
-    ``record=False`` only the terminal fields of the trace are populated.
+    ``record=False`` ``records`` has no rows and only the terminal fields of
+    the trace are populated.
     """
-    if record:
-        run = record_trial(scenario, config)
-        result = run.result
-        records = _step_records(run)
-    else:
-        result = run_trials(scenario, config, 1)[0]
-        records = ()
+    params = _scenario_params(scenario)
+    p_min = params[-1]
+    initial = draw_initial_loads(scenario, config.seed)
+    x = list(initial)
+    p_work = [0.0] * scenario.n
+    # One flat typed buffer per column, so that no Python object is kept per
+    # step; the records array is built from them once, at the end.
+    agent, feedback, probes, case, x_new = (
+        array("q"), array("B"), array("d"), array("b"), array("d")
+    )
+
+    def on_step(n, p_lo, p_hi, c):
+        agent.append(n)
+        feedback.extend([p >= q for p, q in zip(p_work, p_min)])
+        probes.extend((p_lo, p_work[n], p_hi))
+        case.append(c)
+        x_new.append(x[n])
+
+    converged, feasible, _, steps = _trial_engine(
+        params, x, p_work, config.dx, config.k_max, on_step if record else None
+    )
+    records = np.empty(len(agent), _step_dtype(scenario.n))
+    records["agent"] = agent
+    records["feedback"] = np.reshape(feedback, (-1, scenario.n))
+    records["probes"] = np.reshape(probes, (-1, 3))
+    records["case"] = case
+    records["x_new"] = x_new
     return ProtocolTrace(
         config=config,
-        initial=draw_initial_loads(scenario, config.seed),
+        initial=initial,
         records=records,
-        iterations=result.iterations,
-        converged=result.converged,
-        feasible=result.feasible,
-        final=result.final,
-        final_report=solve_closed_form(scenario, result.final),
+        iterations=steps,
+        converged=converged,
+        feasible=feasible,
+        final=tuple(x),
+        final_report=solve_closed_form(scenario, x),
     )
 
 
@@ -590,32 +530,62 @@ def batch_run(
     return summarize(run_trials(scenario, config, trials))
 
 
+def _rule_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``decide_case`` and ``_apply_case`` as lookup tables, for array replays.
+
+    The case table's entry ``[own, lo, hi, fed]`` is the case taken when
+    ``p_own`` compares to ``p_required``, and ``p_lo`` and ``p_hi`` to
+    ``p_own``, as ``own``, ``lo`` and ``hi`` say (0 below, 1 equal, 2
+    above), and ``others_all_fed`` is ``fed``.  The move table gives each
+    case value's direction: +1 raises the load, -1 lowers it, 0 keeps it.
+    """
+    cases = np.zeros((3, 3, 3, 2), dtype=np.int8)
+    for own, lo, hi, fed in np.ndindex(cases.shape):
+        position = _position(float(lo), 1.0, float(hi))
+        cases[own, lo, hi, fed] = decide_case(float(own), 1.0, position, bool(fed))
+    moves = np.zeros(len(Case) + 1, dtype=np.int8)
+    for case in Case:
+        moves[case] = _apply_case(case, 0.0, 1.0, -2.0, 2.0)
+    return cases, moves
+
+
+def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """0, 1 or 2 where ``a`` is below, equal to or above ``b``."""
+    return 1 + (a > b).astype(np.intp) - (a < b)
+
+
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     """Replay a recorded trace and report every deviation found.
 
-    Re-derives, at every step: the truthful feedback bits, the probe
-    powers, the case decision, the clamped update, bounds safety, and the
-    single-mutator property; then checks the terminal convergence and
-    feasibility flags.  Returns a list of human-readable violations (empty
-    for a sound trace).  All comparisons are exact.
+    Re-derives, at every step: the round-robin agent, the truthful feedback
+    bits, the probe powers, the case decision, the clamped update, bounds
+    safety, and the single-mutator property; then checks the terminal
+    convergence and feasibility flags.  Returns a list of human-readable
+    violations (empty for a sound trace), step by step and in that order
+    within a step.  All comparisons are exact.
 
     Every power is recomputed from loads, never read from the trace: the
-    loads before and after each step follow the recorded agents and
-    ``x_new`` values, and the array kernel evaluates them and both probes
-    of every step in a few whole-trace calls.  The kernel shares no code
-    with the step engine that made the trace.
+    loads before and after each step follow the round-robin agents and the
+    recorded ``x_new`` values, and the array kernel evaluates them and both
+    probes of every step in a few whole-trace calls.  The kernel shares no
+    code with the step engine that made the trace; the replayed case and
+    move come from ``decide_case`` and ``_apply_case`` through
+    ``_rule_tables``.  Every check runs on whole columns, and messages are
+    formatted only for the steps that fail.
     """
     violations: list[str] = []
     n_agents = scenario.n
-    p_min = [rec.p_min for rec in scenario.receivers]
+    receivers = scenario.receivers
+    p_min = np.array([rec.p_min for rec in receivers])
     dx = trace.config.dx
     records = trace.records
-    cols = np.array([step.agent for step in records], dtype=np.intp)
     rows = np.arange(len(records))
-    loads = _load_matrix(trace.initial, cols, [step.x_new for step in records])
+    cols = rows % n_agents
+    x_new = records["x_new"]
+    loads = _load_matrix(trace.initial, x_new)
 
     powers = closed_form_arrays(scenario, loads)
-    fed = powers.p >= np.array(p_min)
+    fed = powers.p >= p_min
     before = loads[:-1]
     x_own = before[rows, cols]
     probe = before.copy()
@@ -625,63 +595,67 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     p_lo = closed_form_arrays(scenario, probe).p[rows, cols]
     probe[rows, cols] = x_own + dx
     p_hi = closed_form_arrays(scenario, probe).p[rows, cols]
-    others_fed = fed[:-1].sum(axis=1) - fed[:-1][rows, cols] == n_agents - 1
+    p_own = powers.p[:-1][rows, cols]
+    feedback = fed[:-1].astype(np.uint8)
+    others_fed = feedback.sum(axis=1) - feedback[rows, cols] == n_agents - 1
 
-    per_step = (
-        cols,
-        x_own,
-        p_lo,
-        powers.p[:-1][rows, cols],
-        p_hi,
-        fed[:-1].astype(int),
-        others_fed,
-        powers.p[1:],
-        powers.p_tx[1:],
+    case_table, move_table = _rule_tables()
+    case = case_table[
+        _compare(p_own, p_min[cols]),
+        _compare(p_lo, p_own),
+        _compare(p_hi, p_own),
+        others_fed.astype(np.intp),
+    ]
+    move = move_table[case]
+    x_min = np.array([rec.x_min for rec in receivers])[cols]
+    x_max = np.array([rec.x_max for rec in receivers])[cols]
+    x_expected = np.where(
+        move > 0,
+        np.minimum(x_max, x_own + dx),
+        np.where(move < 0, np.maximum(x_min, x_own - dx), x_own),
     )
-    # Steps are compared in blocks, so that the Python objects of only one
-    # block exist besides the trace.
-    for start in range(0, len(records), _BLOCK):
-        block = zip(
-            records[start:start + _BLOCK], *(a[start:start + _BLOCK].tolist() for a in per_step)
-        )
-        for k, (step, n, x_n, p_lo, p_own, p_hi, feedback, all_fed, p_after, ptx_after) in (
-            enumerate(block, start + 1)
-        ):
-            tag = f"step {k}"
-            if step.iteration != k:
-                violations.append(f"{tag}: iteration index {step.iteration} != {k}")
-            if step.agent != (k - 1) % n_agents:
-                violations.append(f"{tag}: agent {step.agent} breaks round-robin order")
+    delta = np.abs(x_new - x_own)
 
-            feedback = tuple(feedback)
-            if step.feedback != feedback:
-                violations.append(f"{tag}: feedback {step.feedback} not truthful ({feedback})")
-            if step.probes != (p_lo, p_own, p_hi):
-                violations.append(f"{tag}: probe powers differ from replay")
+    bad_agent = records["agent"] != cols
+    bad_feedback = (records["feedback"] != feedback).any(axis=1)
+    bad_probes = (records["probes"] != np.stack((p_lo, p_own, p_hi), axis=1)).any(axis=1)
+    bad_case = records["case"] != case
+    bad_x_new = x_new != x_expected
+    out_of_bounds = ~((x_min <= x_new) & (x_new <= x_max))
+    # Representation slack: x +- dx rounds to within a few ulp of x.
+    too_far = (x_new != x_own) & (delta > dx + 32.0 * np.spacing(x_own))
 
-            case = decide_case(p_own, p_min[n], _position(p_lo, p_own, p_hi), all_fed)
-            if step.case != case:
-                violations.append(f"{tag}: case {step.case.name}, replay says {case.name}")
-
-            rec = scenario.receivers[n]
-            x_expected = _apply_case(case, x_n, dx, rec.x_min, rec.x_max)
-            if step.x_new != x_expected:
-                violations.append(f"{tag}: x_new {step.x_new} != expected {x_expected}")
-            if not rec.x_min <= step.x_new <= rec.x_max:
-                violations.append(f"{tag}: x_new {step.x_new} violates bounds")
-            # Representation slack: x +- dx rounds to within a few ulp of x.
-            delta = abs(step.x_new - x_n)
-            if step.x_new != x_n and delta > dx + 32.0 * math.ulp(abs(x_n)):
-                violations.append(f"{tag}: move {delta} larger than dx")
-
-            if step.report.p != tuple(p_after) or step.report.p_tx != ptx_after:
-                violations.append(f"{tag}: recorded post-step report differs from replay")
+    names = {c.value: c.name for c in Case}
+    failed = bad_agent | bad_feedback | bad_probes | bad_case | bad_x_new | out_of_bounds | too_far
+    for i in np.flatnonzero(failed).tolist():
+        tag = f"step {i + 1}"
+        step = records[i]
+        if bad_agent[i]:
+            violations.append(f"{tag}: agent {step['agent']} breaks round-robin order")
+        if bad_feedback[i]:
+            recorded = tuple(step["feedback"].tolist())
+            violations.append(
+                f"{tag}: feedback {recorded} not truthful ({tuple(feedback[i].tolist())})"
+            )
+        if bad_probes[i]:
+            violations.append(f"{tag}: probe powers differ from replay")
+        if bad_case[i]:
+            recorded = names.get(int(step["case"]), int(step["case"]))
+            violations.append(f"{tag}: case {recorded}, replay says {names[case[i]]}")
+        if bad_x_new[i]:
+            violations.append(
+                f"{tag}: x_new {float(x_new[i])} != expected {float(x_expected[i])}"
+            )
+        if out_of_bounds[i]:
+            violations.append(f"{tag}: x_new {float(x_new[i])} violates bounds")
+        if too_far[i]:
+            violations.append(f"{tag}: move {float(delta[i])} larger than dx")
 
     if tuple(loads[-1].tolist()) != trace.final:
         violations.append("final loads differ from replayed loads")
     if trace.converged:
-        tail = trace.records[-n_agents:]
-        if len(tail) < n_agents or any(s.case is not Case.C5 for s in tail):
+        tail = records["case"][-n_agents:]
+        if len(tail) < n_agents or (tail != Case.C5).any():
             violations.append("converged flag set without N trailing C5 steps")
     final_report = solve_closed_form(scenario, trace.final)
     feasible = all(final_report.p[m] >= p_min[m] for m in range(n_agents))

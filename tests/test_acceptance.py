@@ -305,7 +305,7 @@ def test_c6_protocol_soundness(fig3):
     lone = lone_receiver_scenario()
     trace = run_protocol(lone, ProtocolConfig(dx=1e-3, k_max=50_000, seed=0))
     assert trace.converged
-    assert all(s.case is Case.C5 for s in trace.records[-lone.n:])
+    assert (trace.records["case"][-lone.n:] == Case.C5).all()
     assert verify_trace(lone, trace) == []
     checked += 1
 

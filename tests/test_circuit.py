@@ -250,8 +250,6 @@ class TestClosedFormArrays:
             assert _bits(arrays.i_tx[row]) == _bits(ref.i_tx)
             assert [_bits(v) for v in arrays.i[row]] == [_bits(v) for v in ref.i]
         assert list(arrays.reports()) == [solve_closed_form(scenario, x) for x in table.tolist()]
-        picked = [2, 0, len(table) - 1]
-        assert list(arrays.reports(picked)) == [solve_closed_form(scenario, table[r]) for r in picked]
 
     def test_bundled_scenarios(self, fig2, fig3, rng):
         for scenario in (fig2, fig3):

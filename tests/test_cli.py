@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from mrc_wpt.analysis import sweep
+from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.cli import main
-from mrc_wpt.distributed import ProtocolConfig, batch_run, run_protocol
+from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
 
@@ -13,6 +17,24 @@ def read_output(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
     return json.loads(lines[0][2:]), lines[1:]
+
+
+def csv_body(header, rows):
+    """What ``csv.writer`` writes for a header and rows, floats as ``%.16e``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, str) else format(v, ".16e") for v in row] for row in rows
+    )
+    return buf.getvalue()
+
+
+def raw_body(path):
+    """An output file's body, line endings kept, without its manifest line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        return fh.read()
 
 
 class TestSweepCommand:
@@ -36,6 +58,23 @@ class TestSweepCommand:
         assert len(body) == 1 + 50
         first = body[1].split(",")
         assert float(first[0]) == pytest.approx(0.1)
+
+    def test_body_pinned(self, tmp_path, fig2):
+        # The body is byte for byte the csv.writer rendering of the sweep's
+        # reports, every number in 17 significant digits.
+        out = tmp_path / "sweep.csv"
+        assert main(
+            [
+                "sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                "--grid", "0.1:100:50", "--fixed", "x2=7.5,x3=7.5", "--out", str(out),
+            ]
+        ) == 0
+        table = sweep(fig2, (0.1, 7.5, 7.5), 0, np.linspace(0.1, 100, 50))
+        expected = csv_body(
+            ["x_1", "p_tx", "p_1", "p_2", "p_3", "p_sum"],
+            [[x, rep.p_tx, *rep.p, rep.p_sum] for x, rep in table],
+        )
+        assert raw_body(out) == expected
 
     def test_log_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -156,6 +195,31 @@ class TestSimulateCommand:
         assert len(t_body) - 1 == reference.iterations
         last = t_body[-1].split(",")
         assert [float(v) for v in last[4:7]] == pytest.approx(list(reference.final))
+
+    def test_trace_body_pinned(self, tmp_path, fig3):
+        # Every trace line renders one recorded step: its agent, feedback
+        # bits and case, the loads after it, and their powers from
+        # solve_closed_form.
+        trace_path = tmp_path / "trace.csv"
+        assert main(
+            [
+                "simulate", "--scenario", "paper-fig3", "--dx", "1e-3", "--kmax", "1500",
+                "--seed", "5", "--trace", str(trace_path), "--out", str(tmp_path / "s.csv"),
+            ]
+        ) == 0
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=1500, seed=5))
+        xs = list(trace.initial)
+        rows = []
+        for k, step in enumerate(trace.records, 1):
+            n = int(step["agent"])
+            xs[n] = float(step["x_new"])
+            report = solve_closed_form(fig3, xs)
+            bits = "".join(str(b) for b in step["feedback"])
+            case = Case(step["case"]).name
+            rows.append([str(k), str(n + 1), bits, case, *xs, report.p_tx, *report.p])
+        header = ["iter", "n", "fb_bits", "case", "x_1", "x_2", "x_3", "p_tx", "p_1", "p_2", "p_3"]
+        assert len(rows) == trace.iterations == 1500
+        assert raw_body(trace_path) == csv_body(header, rows)
 
     def test_traced_trial_is_trial_one(self, tmp_path, fig2):
         # The traced run is the summary's first trial; the summary is the

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from mrc_wpt.distributed import (
     NoFeasibleTrialsError,
     PeakPosition,
     ProtocolConfig,
+    ProtocolTrace,
     agent_step,
     batch_run,
     classify_position,
@@ -148,18 +149,24 @@ class TestRunProtocol:
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=1, seed=3))
         assert trace.iterations == 1
         assert len(trace.records) == 1
-        assert trace.records[0].agent == 0
+        assert trace.records[0]["agent"] == 0
         assert not trace.converged
 
     def test_deterministic(self, fig3):
         cfg = ProtocolConfig(dx=1e-3, k_max=400, seed=11)
-        assert run_protocol(fig3, cfg) == run_protocol(fig3, cfg)
+        a, b = run_protocol(fig3, cfg), run_protocol(fig3, cfg)
+        assert len(a.records) == 400
+        for field in fields(ProtocolTrace):
+            if field.name == "records":
+                assert np.array_equal(a.records, b.records)
+            else:
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
 
     def test_record_flag_only_drops_records(self, fig3):
         cfg = ProtocolConfig(dx=1e-3, k_max=400, seed=11)
         full = run_protocol(fig3, cfg, record=True)
         bare = run_protocol(fig3, cfg, record=False)
-        assert bare.records == ()
+        assert len(bare.records) == 0
         assert bare.final == full.final
         assert bare.converged == full.converged
         assert bare.feasible == full.feasible
@@ -176,12 +183,12 @@ class TestRunProtocol:
         for name, s in replay_scenarios(fig3):
             trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=900, seed=21))
             xs = list(trace.initial)
-            for step in trace.records:
-                n = step.agent
-                others = tuple(b for m, b in enumerate(step.feedback) if m != n)
+            for k, step in enumerate(trace.records, 1):
+                n = int(step["agent"])
+                others = tuple(int(b) for m, b in enumerate(step["feedback"]) if m != n)
                 x_new, case = agent_step(s, xs, n, others, trace.config.dx)
-                assert case is step.case, f"{name}, step {step.iteration}"
-                assert x_new == step.x_new, f"{name}, step {step.iteration}"
+                assert case == step["case"], f"{name}, step {k}"
+                assert x_new == step["x_new"], f"{name}, step {k}"
                 xs[n] = x_new
             assert tuple(xs) == trace.final, name
 
@@ -192,19 +199,15 @@ class TestRunProtocol:
 
     def test_verify_trace_flags_tampering(self, fig3):
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=50, seed=5))
-        bad = replace(
-            trace,
-            records=trace.records[:10]
-            + (replace(trace.records[10], x_new=trace.records[10].x_new + 0.5),)
-            + trace.records[11:],
-        )
-        assert verify_trace(fig3, bad)
+        records = trace.records.copy()
+        records["x_new"][10] += 0.5
+        assert verify_trace(fig3, replace(trace, records=records))
 
     def test_bounds_safety(self, fig3):
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=2000, seed=9))
         xs = list(trace.initial)
         for step in trace.records:
-            xs[step.agent] = step.x_new
+            xs[step["agent"]] = float(step["x_new"])
             for rec, x in zip(fig3.receivers, xs):
                 assert rec.x_min <= x <= rec.x_max
 
@@ -213,9 +216,9 @@ class TestRunProtocol:
         xs = list(trace.initial)
         for step in trace.records:
             before = tuple(xs)
-            xs[step.agent] = step.x_new
+            xs[step["agent"]] = float(step["x_new"])
             changed = [k for k in range(len(xs)) if xs[k] != before[k]]
-            assert changed in ([], [step.agent])
+            assert changed in ([], [step["agent"]])
 
     def test_convergence_at_own_peak(self):
         # A lone fed receiver descending from above parks at its power peak
@@ -224,7 +227,7 @@ class TestRunProtocol:
         s = lone_receiver_scenario()
         trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=50_000, seed=0))
         assert trace.converged
-        assert trace.records[-1].case is Case.C5
+        assert trace.records[-1]["case"] == Case.C5
         assert trace.iterations < 50_000
         assert trace.final[0] == pytest.approx(peak_load(s, trace.final, 0), abs=2e-3)
 
@@ -316,48 +319,51 @@ class TestVerifyTraceChecks:
         assert not trace.converged
         return trace
 
-    def with_step(self, trace, **fields):
-        i = self.STEP - 1
-        step = replace(trace.records[i], **fields)
-        return replace(trace, records=trace.records[:i] + (step,) + trace.records[i + 1:])
+    def with_step(self, trace, step=STEP, **fields):
+        """The trace with the given fields of 1-based ``step`` replaced."""
+        records = trace.records.copy()
+        for name, value in fields.items():
+            records[name][step - 1] = value
+        return replace(trace, records=records)
 
     def with_last_x_new(self, scenario, trace, x_new):
-        """The last step moved to ``x_new``, with its report, final loads and
+        """The last step moved to ``x_new``, with the final loads and
         feasible flag made consistent with that load."""
-        last = trace.records[-1]
         final = list(trace.final)
-        final[last.agent] = x_new
+        final[trace.records[-1]["agent"]] = x_new
         report = solve_closed_form(scenario, final)
-        step = replace(last, x_new=x_new, report=report)
         feasible = all(p >= rec.p_min for p, rec in zip(report.p, scenario.receivers))
-        return replace(
-            trace, records=trace.records[:-1] + (step,), final=tuple(final), feasible=feasible
-        )
-
-    def test_iteration(self, fig3, trace):
-        bad = self.with_step(trace, iteration=999)
-        assert verify_trace(fig3, bad) == [f"step {self.STEP}: iteration index 999 != {self.STEP}"]
+        bad = self.with_step(trace, len(trace.records), x_new=x_new)
+        return replace(bad, final=tuple(final), feasible=feasible)
 
     def test_agent_order(self, fig3, trace):
-        agent = (trace.records[self.STEP - 1].agent + 1) % fig3.n
+        agent = (trace.records[self.STEP - 1]["agent"] + 1) % fig3.n
         violations = verify_trace(fig3, self.with_step(trace, agent=agent))
         assert violations[0] == f"step {self.STEP}: agent {agent} breaks round-robin order"
 
+    def test_agent_out_of_range(self, fig3, trace):
+        # The replay follows the round-robin order, so an agent that is no
+        # receiver's index is reported, not indexed with.
+        for agent in (fig3.n, -1):
+            violations = verify_trace(fig3, self.with_step(trace, agent=agent))
+            assert violations[0] == f"step {self.STEP}: agent {agent} breaks round-robin order"
+
     def test_feedback(self, fig3, trace):
         step = trace.records[self.STEP - 1]
-        other = (step.agent + 1) % fig3.n
-        bits = tuple(1 - b if m == other else b for m, b in enumerate(step.feedback))
+        other = (step["agent"] + 1) % fig3.n
+        truthful = tuple(int(b) for b in step["feedback"])
+        bits = tuple(1 - b if m == other else b for m, b in enumerate(truthful))
         assert verify_trace(fig3, self.with_step(trace, feedback=bits)) == [
-            f"step {self.STEP}: feedback {bits} not truthful ({step.feedback})"
+            f"step {self.STEP}: feedback {bits} not truthful ({truthful})"
         ]
 
     def test_probes(self, fig3, trace):
-        p_lo, p_own, p_hi = trace.records[self.STEP - 1].probes
+        p_lo, p_own, p_hi = trace.records[self.STEP - 1]["probes"]
         bad = self.with_step(trace, probes=(p_lo, p_own, p_hi * (1 + 1e-15)))
         assert verify_trace(fig3, bad) == [f"step {self.STEP}: probe powers differ from replay"]
 
     def test_case(self, fig3, trace):
-        case = trace.records[self.STEP - 1].case
+        case = Case(trace.records[self.STEP - 1]["case"])
         wrong = Case.C5 if case is not Case.C5 else Case.C1
         assert verify_trace(fig3, self.with_step(trace, case=wrong)) == [
             f"step {self.STEP}: case {wrong.name}, replay says {case.name}"
@@ -365,31 +371,25 @@ class TestVerifyTraceChecks:
 
     def test_x_new(self, fig3, trace):
         last = trace.records[-1]
-        rec = fig3.receivers[last.agent]
-        x_new = math.nextafter(last.x_new, (rec.x_min + rec.x_max) / 2)
+        rec = fig3.receivers[last["agent"]]
+        x_new = math.nextafter(last["x_new"], (rec.x_min + rec.x_max) / 2)
         bad = self.with_last_x_new(fig3, trace, x_new)
         assert verify_trace(fig3, bad) == [
-            f"step {last.iteration}: x_new {x_new} != expected {last.x_new}"
+            f"step {len(trace.records)}: x_new {x_new} != expected {float(last['x_new'])}"
         ]
 
     def test_bounds(self, fig3, trace):
         last = trace.records[-1]
-        x_new = fig3.receivers[last.agent].x_max + 1.0
+        x_new = fig3.receivers[last["agent"]].x_max + 1.0
         violations = verify_trace(fig3, self.with_last_x_new(fig3, trace, x_new))
-        assert f"step {last.iteration}: x_new {x_new} violates bounds" in violations
+        assert f"step {len(trace.records)}: x_new {x_new} violates bounds" in violations
 
     def test_move_larger_than_dx(self, fig3, trace):
-        last = trace.records[-1]
-        x_before = trace.records[-1 - fig3.n].x_new
+        x_before = float(trace.records[-1 - fig3.n]["x_new"])
         x_new = x_before - 3e-3
         violations = verify_trace(fig3, self.with_last_x_new(fig3, trace, x_new))
-        assert f"step {last.iteration}: move {abs(x_new - x_before)} larger than dx" in violations
-
-    def test_post_step_report(self, fig3, trace):
-        report = solve_closed_form(fig3, BENCH_LOADS)
-        assert verify_trace(fig3, self.with_step(trace, report=report)) == [
-            f"step {self.STEP}: recorded post-step report differs from replay"
-        ]
+        step = len(trace.records)
+        assert f"step {step}: move {abs(x_new - x_before)} larger than dx" in violations
 
     def test_final_loads(self, fig3, trace):
         final = trace.final[:-1] + (math.nextafter(trace.final[-1], 0.0),)
