@@ -21,7 +21,8 @@ and otherwise peaks at
 
 These closed forms drive both the insight reports and the correctness tests
 of the distributed load-adjustment protocol, which discovers the peak by
-probing rather than by formula.
+probing rather than by formula.  ``sweep`` checks them numerically: it
+returns the array kernel's powers along a grid of one receiver's load.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
-    PowerReport,
+    PowerArrays,
     ScenarioError,
     SystemScenario,
     as_loads,
@@ -121,16 +122,14 @@ def sum_peak_load(scenario: SystemScenario, loads, n: int) -> float | None:
     return sensitivity(scenario, loads, n).x_ddot
 
 
-def sweep(
-    scenario: SystemScenario, loads, n: int, grid: Sequence[float]
-) -> list[tuple[float, PowerReport]]:
-    """Evaluate the full power report along a grid of values for ``x_n``.
+def sweep(scenario: SystemScenario, loads, n: int, grid: Sequence[float]) -> PowerArrays:
+    """Closed-form powers along a grid of values for ``x_n``.
 
     All other loads stay fixed at their ``loads`` values; the entry
     ``loads[n]`` itself is replaced by each grid value in turn.  Grid values
     need only be positive, they may leave [x_min, x_max].  The whole grid is
-    one call of the array kernel, so each report equals
-    ``solve_closed_form`` at that point.
+    one call of the array kernel, whose arrays come back as they are: row
+    ``g`` of each equals ``solve_closed_form`` at ``grid[g]``.
     """
     _check_index(scenario, n)
     xs = as_loads(scenario, loads)
@@ -140,5 +139,4 @@ def sweep(
         raise ScenarioError(f"grid value must be > 0 (got {grid[bad[0]]})")
     table = np.tile(np.array(xs), (len(values), 1))
     table[:, n] = values
-    reports = closed_form_arrays(scenario, table, currents=True).reports()
-    return list(zip(values.tolist(), reports))
+    return closed_form_arrays(scenario, table)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,52 +292,21 @@ def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     )
 
 
-# Rows per block when array rows are turned into Python objects, which
-# bounds the temporary objects of a long trace or grid.
-_BLOCK = 4096
-
-
 class PowerArrays(NamedTuple):
     """Closed-form results for a stack of load vectors of shape ``(..., N)``.
 
     ``r_in``, ``p_tx`` and ``p_sum`` have the stack shape ``(...)``; ``p``
-    has the loads' shape.  ``i_tx`` and ``i`` (complex, same shapes as
-    ``p_tx`` and ``p``) are ``None`` unless currents were asked for.
+    has the loads' shape.  There are no currents: ``solve_closed_form``
+    gives them for one load vector.
     """
 
     r_in: np.ndarray
     p: np.ndarray
     p_tx: np.ndarray
     p_sum: np.ndarray
-    i_tx: np.ndarray | None = None
-    i: np.ndarray | None = None
-
-    def reports(self) -> Iterator[PowerReport]:
-        """Yield one :class:`PowerReport` per row of a 2-D stack, in order.
-
-        Needs the currents; each report equals ``solve_closed_form`` on that
-        row's loads.  Rows are converted in blocks, so the Python objects of
-        only one block exist besides the reports themselves.
-        """
-        if self.i is None:
-            raise ValueError("reports need the currents: evaluate with currents=True")
-        for start in range(0, len(self.p_tx), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            yield from (
-                PowerReport(i_tx=i_tx, i=tuple(i), p_tx=p_tx, p=tuple(p), p_sum=p_sum)
-                for i_tx, i, p_tx, p, p_sum in zip(
-                    self.i_tx[block].tolist(),
-                    self.i[block].tolist(),
-                    self.p_tx[block].tolist(),
-                    self.p[block].tolist(),
-                    self.p_sum[block].tolist(),
-                )
-            )
 
 
-def closed_form_arrays(
-    scenario: SystemScenario, loads, currents: bool = False
-) -> PowerArrays:
+def closed_form_arrays(scenario: SystemScenario, loads) -> PowerArrays:
     """``solve_closed_form`` over every row of a load array of shape ``(..., N)``.
 
     Receivers are accumulated in index order with the same operations, in
@@ -371,23 +340,7 @@ def closed_form_arrays(
         d = rec.r + x[..., k]
         p[..., k] = half_v2 * wh2[k] * x[..., k] / (d * d) / rr
         p_sum += p[..., k]
-    if not currents:
-        return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
-
-    # numpy's complex arithmetic need not round as Python's does, so the
-    # currents are written out in real arithmetic, term for term as Python
-    # evaluates ``v / r_in`` and ``1j * s * i_tx`` = (0 + s j) * (a + b j).
-    v = tx.v_tx
-    a = v.real / r_in
-    b = v.imag / r_in
-    i_tx = np.empty(r_in.shape, dtype=complex)
-    i_tx.real, i_tx.imag = a, b
-    i = np.empty(x.shape, dtype=complex)
-    for k, rec in enumerate(scenario.receivers):
-        s = scenario.w * rec.h / (rec.r + x[..., k])
-        i[..., k].real = 0.0 * a - s * b
-        i[..., k].imag = 0.0 * b + s * a
-    return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum, i_tx=i_tx, i=i)
+    return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
 
 
 def solve_oracle(scenario: SystemScenario, loads) -> PowerReport:

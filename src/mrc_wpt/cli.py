@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import sweep
 from .centralized import minimize_ptx
-from .circuit import _BLOCK, ScenarioError, closed_form_arrays
+from .circuit import ScenarioError, closed_form_arrays
 from .distributed import (
     Case,
     NoFeasibleTrialsError,
@@ -38,6 +38,10 @@ from .scenario_io import load_scenario
 from .verify import run_verification
 
 __all__ = ["RunManifest", "main"]
+
+# Trace steps per block when array rows are turned into Python objects,
+# which bounds the temporary objects of a long trace.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for k, v in fixed.items():
         loads[k] = v
 
-    rows = sweep(scenario, loads, n_idx, grid)
+    powers = sweep(scenario, loads, n_idx, grid)
     manifest = RunManifest(
         subcommand="sweep",
         scenario=str(args.scenario),
@@ -164,7 +168,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         manifest,
         header,
         _floats(scenario.n + 3),
-        ((x, rep.p_tx, *rep.p, rep.p_sum) for x, rep in rows),
+        map(tuple, np.column_stack((grid, powers.p_tx, powers.p, powers.p_sum)).tolist()),
     )
     return 0
 

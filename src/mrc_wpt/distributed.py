@@ -571,22 +571,27 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     code with the step engine that made the trace; the replayed case and
     move come from ``decide_case`` and ``_apply_case`` through
     ``_rule_tables``.  Every check runs on whole columns, and messages are
-    formatted only for the steps that fail.
+    formatted only for the steps that fail.  The replay stops after the
+    first step whose ``x_new`` is not a positive load, because no later
+    step has loads that the kernel can evaluate.
     """
     violations: list[str] = []
     n_agents = scenario.n
     receivers = scenario.receivers
     p_min = np.array([rec.p_min for rec in receivers])
     dx = trace.config.dx
-    records = trace.records
+    recorded = trace.records["x_new"]
+    loads = _load_matrix(trace.initial, recorded)
+    bad = np.flatnonzero(~(np.isfinite(recorded) & (recorded > 0)))
+    stop = int(bad[0]) if bad.size else len(recorded)
+    records = trace.records[: stop + 1]
     rows = np.arange(len(records))
     cols = rows % n_agents
     x_new = records["x_new"]
-    loads = _load_matrix(trace.initial, x_new)
 
-    powers = closed_form_arrays(scenario, loads)
+    before = loads[: len(records)]
+    powers = closed_form_arrays(scenario, before)
     fed = powers.p >= p_min
-    before = loads[:-1]
     x_own = before[rows, cols]
     probe = before.copy()
     lo = x_own - dx
@@ -595,8 +600,8 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     p_lo = closed_form_arrays(scenario, probe).p[rows, cols]
     probe[rows, cols] = x_own + dx
     p_hi = closed_form_arrays(scenario, probe).p[rows, cols]
-    p_own = powers.p[:-1][rows, cols]
-    feedback = fed[:-1].astype(np.uint8)
+    p_own = powers.p[rows, cols]
+    feedback = fed.astype(np.uint8)
     others_fed = feedback.sum(axis=1) - feedback[rows, cols] == n_agents - 1
 
     case_table, move_table = _rule_tables()
@@ -650,15 +655,21 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
             violations.append(f"{tag}: x_new {float(x_new[i])} violates bounds")
         if too_far[i]:
             violations.append(f"{tag}: move {float(delta[i])} larger than dx")
+        if i == stop:
+            violations.append(
+                f"{tag}: replay stops: x_new {float(x_new[i])} is not a positive load"
+            )
 
     if tuple(loads[-1].tolist()) != trace.final:
         violations.append("final loads differ from replayed loads")
     if trace.converged:
-        tail = records["case"][-n_agents:]
+        tail = trace.records["case"][-n_agents:]
         if len(tail) < n_agents or (tail != Case.C5).any():
             violations.append("converged flag set without N trailing C5 steps")
-    final_report = solve_closed_form(scenario, trace.final)
-    feasible = all(final_report.p[m] >= p_min[m] for m in range(n_agents))
+    final = np.asarray(trace.final, dtype=float)
+    # Final loads that are not all positive meet no demand.
+    valid = bool((np.isfinite(final) & (final > 0)).all())
+    feasible = valid and bool((closed_form_arrays(scenario, final).p >= p_min).all())
     if trace.feasible != feasible:
         violations.append(
             f"feasible flag {trace.feasible} does not match replay ({feasible})"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 
 from mrc_wpt.centralized import check_feasibility, z_bracket
@@ -8,6 +10,12 @@ def rel(a, b) -> float:
     """Relative difference with the larger magnitude as scale."""
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def _bits(value) -> bytes:
+    """Exact bit pattern of a float or complex."""
+    c = complex(value)
+    return struct.pack("<dd", c.real, c.imag)
 
 
 def feasible_instance(rng, n_receivers=None, dz=1e-3, min_steps=50):

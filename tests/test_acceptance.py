@@ -47,8 +47,7 @@ def fig3_with_demand(fig3, p3):
 def test_c1_peak_reproduction(fig2):
     t0 = time.perf_counter()
     x_dot = peak_load(fig2, BENCH_LOADS, 0)
-    rows = sweep(fig2, BENCH_LOADS, 0, FIG2_GRID)
-    p1 = np.array([rep.p[0] for _, rep in rows])
+    p1 = sweep(fig2, BENCH_LOADS, 0, FIG2_GRID).p[:, 0]
     idx = int(np.argmax(p1))
     grid_peak = FIG2_GRID[idx]
     step = FIG2_GRID[1] - FIG2_GRID[0]
@@ -66,14 +65,14 @@ def test_c1_peak_reproduction(fig2):
 
 def test_c2_fig2_shape(fig2):
     t0 = time.perf_counter()
-    rows = sweep(fig2, BENCH_LOADS, 0, FIG2_GRID)
+    powers = sweep(fig2, BENCH_LOADS, 0, FIG2_GRID)
     curves = {
-        "p_tx": np.array([rep.p_tx for _, rep in rows]),
-        "p_2": np.array([rep.p[1] for _, rep in rows]),
-        "p_3": np.array([rep.p[2] for _, rep in rows]),
-        "p_sum": np.array([rep.p_sum for _, rep in rows]),
+        "p_tx": powers.p_tx,
+        "p_2": powers.p[:, 1],
+        "p_3": powers.p[:, 2],
+        "p_sum": powers.p_sum,
     }
-    p1 = np.array([rep.p[0] for _, rep in rows])
+    p1 = powers.p[:, 0]
     elapsed = time.perf_counter() - t0
 
     worst = 0.0
@@ -327,8 +326,7 @@ def test_c7_aggregate_peak_dichotomy():
         xs = random_loads(rng, s)
         n = int(rng.integers(0, s.n))
         verdict = sum_peak_load(s, xs, n)
-        rows = sweep(s, xs, n, grid)
-        p_sum = np.array([rep.p_sum for _, rep in rows])
+        p_sum = sweep(s, xs, n, grid).p_sum
         diffs = np.diff(p_sum)
         floor = -1e-12 * np.maximum(p_sum[1:], p_sum[:-1])
 
@@ -347,7 +345,7 @@ def test_c7_aggregate_peak_dichotomy():
     print(
         f"ACCEPTANCE C7 aggregate-peak dichotomy: 200 scenarios "
         f"({n_monotone} monotone, {n_peaked} peaked, rest peaked beyond the "
-        f"grid), all matching the grid sweep, runtime {elapsed:.0f} s"
+        f"grid), all matching the grid sweep, runtime {elapsed:.1f} s"
     )
     assert n_monotone > 0 and n_peaked > 0
     assert elapsed < 60.0

@@ -7,7 +7,7 @@ from mrc_wpt.analysis import peak_load, sensitivity, sum_peak_load, sweep
 from mrc_wpt.circuit import ScenarioError, solve_closed_form
 from mrc_wpt.sampling import random_loads, random_scenario
 
-from helpers import rel
+from helpers import _bits, rel
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -17,8 +17,7 @@ GRID = np.geomspace(1e-2, 1e2, 10_000)
 
 
 def grid_argmax(scenario, loads, n, values):
-    rows = sweep(scenario, loads, n, GRID)
-    return int(np.argmax([values(rep) for _, rep in rows]))
+    return int(np.argmax(values(sweep(scenario, loads, n, GRID))))
 
 
 def within_one_step(idx, target):
@@ -55,7 +54,7 @@ class TestPeakLoad:
             xs = random_loads(rng, s)
             n = int(rng.integers(0, s.n))
             x_dot = peak_load(s, xs, n)
-            idx = grid_argmax(s, xs, n, lambda rep: rep.p[n])
+            idx = grid_argmax(s, xs, n, lambda powers: powers.p[:, n])
             if x_dot > GRID[-1]:
                 assert idx == len(GRID) - 1
             else:
@@ -86,8 +85,7 @@ class TestSumPeakLoad:
             xs = random_loads(rng, s)
             n = int(rng.integers(0, s.n))
             verdict = sum_peak_load(s, xs, n)
-            rows = sweep(s, xs, n, GRID)
-            p_sum = np.array([rep.p_sum for _, rep in rows])
+            p_sum = sweep(s, xs, n, GRID).p_sum
             diffs = np.diff(p_sum)
             tol = 1e-12 * np.maximum(p_sum[1:], p_sum[:-1])
             if verdict is None or verdict > GRID[-1]:
@@ -113,17 +111,20 @@ class TestSumPeakLoad:
 
 class TestSweep:
     def test_single_point_equals_closed_form(self, fig2):
-        rows = sweep(fig2, BENCH_LOADS, 0, [12.5])
-        assert len(rows) == 1
-        x, rep = rows[0]
-        assert x == 12.5
-        assert rep == solve_closed_form(fig2, (12.5, 7.5, 7.5))
+        powers = sweep(fig2, BENCH_LOADS, 0, [12.5])
+        assert powers.p.shape == (1, 3)
+        assert powers.r_in.shape == powers.p_tx.shape == powers.p_sum.shape == (1,)
+        rep = solve_closed_form(fig2, (12.5, 7.5, 7.5))
+        assert _bits(powers.p_tx[0]) == _bits(rep.p_tx)
+        assert _bits(powers.p_sum[0]) == _bits(rep.p_sum)
+        assert [_bits(v) for v in powers.p[0]] == [_bits(v) for v in rep.p]
 
     def test_reversed_grid_gives_reversed_table(self, fig2):
         grid = [1.0, 5.0, 20.0]
         fwd = sweep(fig2, BENCH_LOADS, 0, grid)
         back = sweep(fig2, BENCH_LOADS, 0, grid[::-1])
-        assert fwd == back[::-1]
+        for a, b in zip(fwd, back):
+            assert np.array_equal(a.view(np.uint64), b[::-1].view(np.uint64))
 
     def test_rejects_nonpositive_grid(self, fig2):
         with pytest.raises(ScenarioError):
@@ -131,13 +132,9 @@ class TestSweep:
 
     def test_bench_shapes(self, fig2):
         grid = np.linspace(0.1, 100.0, 500)
-        rows = sweep(fig2, BENCH_LOADS, 0, grid)
-        p_tx = np.array([rep.p_tx for _, rep in rows])
-        p1 = np.array([rep.p[0] for _, rep in rows])
-        p2 = np.array([rep.p[1] for _, rep in rows])
-        p3 = np.array([rep.p[2] for _, rep in rows])
-        p_sum = np.array([rep.p_sum for _, rep in rows])
-        for curve in (p_tx, p2, p3, p_sum):
+        powers = sweep(fig2, BENCH_LOADS, 0, grid)
+        p1, p2, p3 = powers.p.T
+        for curve in (powers.p_tx, p2, p3, powers.p_sum):
             assert np.all(np.diff(curve) > 0)
         peak = int(np.argmax(p1))
         assert grid[peak] == pytest.approx(15.877, abs=grid[1] - grid[0])

@@ -1,6 +1,5 @@
 import cmath
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from mrc_wpt.circuit import (
 )
 from mrc_wpt.sampling import random_loads, random_scenario
 
-from helpers import rel
+from helpers import _bits, rel
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 # Frozen regression value, confirmed against solve_oracle (generic linear
@@ -218,12 +217,6 @@ class TestOracleEquivalence:
             assert rel(rep.p[k], 0.5 * x * abs(rep.i[k]) ** 2) < 1e-14
 
 
-def _bits(value) -> bytes:
-    """Exact bit pattern of a float or complex."""
-    c = complex(value)
-    return struct.pack("<dd", c.real, c.imag)
-
-
 class TestClosedFormArrays:
     """The array kernel against ``solve_closed_form``, bit for bit."""
 
@@ -240,16 +233,13 @@ class TestClosedFormArrays:
         return np.vstack((inside, outside, halved))
 
     def assert_rows_match(self, scenario, table):
-        arrays = closed_form_arrays(scenario, table, currents=True)
+        arrays = closed_form_arrays(scenario, table)
         for row, loads in enumerate(table.tolist()):
             ref = solve_closed_form(scenario, loads)
             assert _bits(arrays.r_in[row]) == _bits(input_resistance(scenario, loads))
             assert _bits(arrays.p_tx[row]) == _bits(ref.p_tx)
             assert _bits(arrays.p_sum[row]) == _bits(ref.p_sum)
             assert [_bits(v) for v in arrays.p[row]] == [_bits(v) for v in ref.p]
-            assert _bits(arrays.i_tx[row]) == _bits(ref.i_tx)
-            assert [_bits(v) for v in arrays.i[row]] == [_bits(v) for v in ref.i]
-        assert list(arrays.reports()) == [solve_closed_form(scenario, x) for x in table.tolist()]
 
     def test_bundled_scenarios(self, fig2, fig3, rng):
         for scenario in (fig2, fig3):
@@ -262,9 +252,9 @@ class TestClosedFormArrays:
 
     def test_stack_shapes(self, fig3, rng):
         table = self.load_rows(rng, fig3, rows=4).reshape(3, 4, 3)
-        arrays = closed_form_arrays(fig3, table, currents=True)
-        assert arrays.p.shape == (3, 4, 3) and arrays.i.shape == (3, 4, 3)
-        assert arrays.p_tx.shape == arrays.p_sum.shape == arrays.i_tx.shape == (3, 4)
+        arrays = closed_form_arrays(fig3, table)
+        assert arrays.p.shape == (3, 4, 3)
+        assert arrays.r_in.shape == arrays.p_tx.shape == arrays.p_sum.shape == (3, 4)
         flat = closed_form_arrays(fig3, table.reshape(12, 3))
         assert np.array_equal(arrays.p.reshape(12, 3), flat.p)
         one = closed_form_arrays(fig3, BENCH_LOADS)
@@ -278,5 +268,3 @@ class TestClosedFormArrays:
             closed_form_arrays(fig3, [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
         with pytest.raises(ScenarioError, match=r"x\[2\] must be > 0"):
             closed_form_arrays(fig3, [1.0, 1.0, np.inf])
-        with pytest.raises(ValueError, match="currents"):
-            list(closed_form_arrays(fig3, np.ones((2, 3))).reports())

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from mrc_wpt.analysis import sweep
 from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.cli import main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
@@ -59,9 +58,20 @@ class TestSweepCommand:
         first = body[1].split(",")
         assert float(first[0]) == pytest.approx(0.1)
 
+    @staticmethod
+    def expected_body(scenario, receiver, grid, fixed):
+        """The csv.writer rendering of ``solve_closed_form`` at each grid
+        point, every number in 17 significant digits."""
+        rows = []
+        for x in grid.tolist():
+            loads = list(fixed)
+            loads[receiver - 1] = x
+            rep = solve_closed_form(scenario, loads)
+            rows.append([x, rep.p_tx, *rep.p, rep.p_sum])
+        header = [f"x_{receiver}", "p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)] + ["p_sum"]
+        return csv_body(header, rows)
+
     def test_body_pinned(self, tmp_path, fig2):
-        # The body is byte for byte the csv.writer rendering of the sweep's
-        # reports, every number in 17 significant digits.
         out = tmp_path / "sweep.csv"
         assert main(
             [
@@ -69,12 +79,19 @@ class TestSweepCommand:
                 "--grid", "0.1:100:50", "--fixed", "x2=7.5,x3=7.5", "--out", str(out),
             ]
         ) == 0
-        table = sweep(fig2, (0.1, 7.5, 7.5), 0, np.linspace(0.1, 100, 50))
-        expected = csv_body(
-            ["x_1", "p_tx", "p_1", "p_2", "p_3", "p_sum"],
-            [[x, rep.p_tx, *rep.p, rep.p_sum] for x, rep in table],
-        )
-        assert raw_body(out) == expected
+        grid = np.linspace(0.1, 100, 50)
+        assert raw_body(out) == self.expected_body(fig2, 1, grid, (None, 7.5, 7.5))
+
+    def test_log_body_pinned(self, tmp_path, fig3):
+        out = tmp_path / "sweep.csv"
+        assert main(
+            [
+                "sweep", "--scenario", "paper-fig3", "--receiver", "2",
+                "--grid", "0.01:100:300:log", "--fixed", "x1=7.5,x3=7.5", "--out", str(out),
+            ]
+        ) == 0
+        grid = np.geomspace(0.01, 100, 300)
+        assert raw_body(out) == self.expected_body(fig3, 2, grid, (7.5, None, 7.5))
 
     def test_log_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -391,6 +391,46 @@ class TestVerifyTraceChecks:
         step = len(trace.records)
         assert f"step {step}: move {abs(x_new - x_before)} larger than dx" in violations
 
+    def test_x_new_not_a_load(self, fig3):
+        # Step 11 moves receiver 2, which step 8 moved last.  A recorded
+        # x_new that is no positive load is reported with the replay
+        # stopping there; a positive one out of bounds is replayed on.
+        clean = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=30, seed=1))
+        expected = float(clean.records[10]["x_new"])
+        x_own = float(clean.records[7]["x_new"])
+
+        def replay(x_new):
+            return verify_trace(fig3, self.with_step(clean, 11, x_new=x_new))
+
+        def step_11(x_new):
+            return [
+                f"step 11: x_new {x_new} != expected {expected}",
+                f"step 11: x_new {x_new} violates bounds",
+                f"step 11: move {abs(x_new - x_own)} larger than dx",
+            ]
+
+        def stop(x_new):
+            return f"step 11: replay stops: x_new {x_new} is not a positive load"
+
+        for x_new in (-1.0, 0.0):
+            assert replay(x_new) == step_11(x_new) + [stop(x_new)]
+        # A NaN move has no size, so it is not larger than dx.
+        assert replay(math.nan) == step_11(math.nan)[:2] + [stop(math.nan)]
+        violations = replay(1e9)
+        assert violations[:3] == step_11(1e9)
+        assert "step 12: probe powers differ from replay" in violations
+        assert not any("replay stops" in v for v in violations)
+
+    def test_last_x_new_not_a_load(self, fig3, trace):
+        # The final loads hold the bad value too: still no exception.
+        step = len(trace.records)
+        final = list(trace.final)
+        final[trace.records[-1]["agent"]] = math.nan
+        bad = self.with_step(trace, step, x_new=math.nan)
+        violations = verify_trace(fig3, replace(bad, final=tuple(final), feasible=True))
+        assert f"step {step}: replay stops: x_new nan is not a positive load" in violations
+        assert violations[-1] == "feasible flag True does not match replay (False)"
+
     def test_final_loads(self, fig3, trace):
         final = trace.final[:-1] + (math.nextafter(trace.final[-1], 0.0),)
         report = solve_closed_form(fig3, final)
