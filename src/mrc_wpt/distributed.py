@@ -25,6 +25,10 @@ power expressions mirror ``circuit.solve_closed_form`` operation for
 operation, and so does the array kernel ``circuit.closed_form_arrays``, so
 simulated measurements, recorded traces, the scalar replay of
 ``agent_step`` and the array replay of ``verify_trace`` all agree to the bit.
+The engine keeps each receiver's terms of r_in and of its power from step
+to step and redoes them only for a load that moved, in the same operations
+and order.  Bare and recorded runs execute every step, so a trial's cost
+is its step count, whatever state the trial reaches.
 """
 
 from __future__ import annotations
@@ -310,51 +314,69 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
 
     ``params`` comes from ``_scenario_params``.  When given, ``on_step(n,
     p_lo, p_hi, case)`` is called after each step has updated ``x[n]``,
-    while ``p_work`` still holds the powers the step started from.
+    while ``p_work`` still holds the powers the step started from.  On
+    return ``p_work`` holds the powers at the final loads.
+
+    Each receiver's terms are kept from step to step: ``t[k] = wh2[k] /
+    (r[k] + x[k])``, its share of r_in, and ``q[k]``, its power times
+    r_in squared.  ``s[k]`` is the partial sum ``r_tx + t[0] + ... +
+    t[k-1]``, so ``s[n_agents]`` is r_in.  A step that moves ``x[n]``
+    updates ``t[n]`` and ``q[n]``, and the sums from ``s[n + 1]`` on and
+    the powers are redone before the next step.  A probe of receiver ``n``
+    starts from ``s[n]``, adds its own term and then ``t[n + 1:]`` in
+    index order.  These are the operations of ``solve_closed_form`` in its
+    order, so every probe and power is the same to the bit.
     """
     r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
     n_agents = len(x)
+    t = [0.0] * n_agents
+    q = [0.0] * n_agents
+    for k in range(n_agents):
+        d = r[k] + x[k]
+        t[k] = wh2[k] / d
+        q[k] = half_v2 * wh2[k] * x[k] / (d * d)
+    s = [r_tx] * (n_agents + 1)
+    n_hungry = 0  # receivers whose demand is not met
+    stale = 0  # s[stale + 1:] and the powers are out of date
     trailing_c5 = 0
     steps = 0
+    n = 0
     converged = False
-    while steps < k_max:
+    while True:
+        if stale < n_agents:
+            r_in = s[stale]
+            for k in range(stale, n_agents):
+                r_in += t[k]
+                s[k + 1] = r_in
+            rr = r_in * r_in
+            n_hungry = 0
+            for k in range(n_agents):
+                p = q[k] / rr
+                p_work[k] = p
+                n_hungry += p < p_min[k]
+            stale = n_agents
+        if steps >= k_max:
+            break
         steps += 1
-        n = (steps - 1) % n_agents
-
-        r_in = r_tx
-        for k in range(n_agents):
-            r_in += wh2[k] / (r[k] + x[k])
-        rr = r_in * r_in
-        for k in range(n_agents):
-            d = r[k] + x[k]
-            p_work[k] = half_v2 * wh2[k] * x[k] / (d * d) / rr
         p_own = p_work[n]
-
-        others_fed = True
-        for m in range(n_agents):
-            if m != n and p_work[m] < p_min[m]:
-                others_fed = False
+        hungry = p_own < p_min[n]
+        others_fed = n_hungry - hungry == 0
 
         x_n = x[n]
         lo = x_n - dx
         if lo <= 0.0:
             lo = 0.5 * x_n
         hi = x_n + dx
-
-        x[n] = lo
-        r_in_p = r_tx
-        for k in range(n_agents):
-            r_in_p += wh2[k] / (r[k] + x[k])
-        d = r[n] + lo
-        p_lo = half_v2 * wh2[n] * lo / (d * d) / (r_in_p * r_in_p)
-
-        x[n] = hi
-        r_in_p = r_tx
-        for k in range(n_agents):
-            r_in_p += wh2[k] / (r[k] + x[k])
-        d = r[n] + hi
-        p_hi = half_v2 * wh2[n] * hi / (d * d) / (r_in_p * r_in_p)
-        x[n] = x_n
+        w_n = wh2[n]
+        d_lo = r[n] + lo
+        d_hi = r[n] + hi
+        r_lo = s[n] + w_n / d_lo
+        r_hi = s[n] + w_n / d_hi
+        for k in range(n + 1, n_agents):
+            r_lo += t[k]
+            r_hi += t[k]
+        p_lo = half_v2 * w_n * lo / (d_lo * d_lo) / (r_lo * r_lo)
+        p_hi = half_v2 * w_n * hi / (d_hi * d_hi) / (r_hi * r_hi)
 
         if p_hi > p_own and p_lo < p_own:
             pos = 0  # below peak
@@ -363,7 +385,7 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
         else:
             pos = 1  # at peak
 
-        if p_own < p_min[n]:
+        if hungry:
             if pos == 0:
                 case = 1
             elif pos == 2:
@@ -376,7 +398,7 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
             case = 5
 
         if case == 1 or case == 3:
-            x[n] = min(x_max[n], x_n + dx)
+            x[n] = min(x_max[n], hi)
         elif case == 2 or case == 4:
             x[n] = max(x_min[n], x_n - dx)
 
@@ -390,19 +412,17 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
                 break
         else:
             trailing_c5 = 0
+            if x[n] != x_n:
+                d = r[n] + x[n]
+                t[n] = w_n / d
+                q[n] = half_v2 * w_n * x[n] / (d * d)
+                stale = n
 
-    r_in = r_tx
-    for k in range(n_agents):
-        r_in += wh2[k] / (r[k] + x[k])
-    rr = r_in * r_in
-    feasible = True
-    for k in range(n_agents):
-        d = r[k] + x[k]
-        p_work[k] = half_v2 * wh2[k] * x[k] / (d * d) / rr
-        if p_work[k] < p_min[k]:
-            feasible = False
-    p_tx = half_v2 / r_in
-    return converged, feasible, p_tx, steps
+        n += 1
+        if n == n_agents:
+            n = 0
+
+    return converged, n_hungry == 0, half_v2 / s[n_agents], steps
 
 
 def _load_matrix(initial, x_new) -> np.ndarray:
@@ -573,7 +593,9 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     ``_rule_tables``.  Every check runs on whole columns, and messages are
     formatted only for the steps that fail.  The replay stops after the
     first step whose ``x_new`` is not a positive load, because no later
-    step has loads that the kernel can evaluate.
+    step has loads that the kernel can evaluate; initial loads that are
+    not all positive are reported and no step is replayed.  The terminal
+    checks run in every case.
     """
     violations: list[str] = []
     n_agents = scenario.n
@@ -584,6 +606,10 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     loads = _load_matrix(trace.initial, recorded)
     bad = np.flatnonzero(~(np.isfinite(recorded) & (recorded > 0)))
     stop = int(bad[0]) if bad.size else len(recorded)
+    initial = np.asarray(trace.initial, dtype=float)
+    if not (np.isfinite(initial) & (initial > 0)).all():
+        violations.append(f"initial loads {trace.initial} are not all positive")
+        stop = -1  # no step can be replayed
     records = trace.records[: stop + 1]
     rows = np.arange(len(records))
     cols = rows % n_agents

@@ -26,6 +26,7 @@ from mrc_wpt.distributed import (
     decide_case,
     draw_initial_loads,
     run_protocol,
+    run_trials,
     verify_trace,
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
@@ -299,6 +300,58 @@ class TestBatchRun:
             batch_run(fig3, ProtocolConfig(), trials=0)
 
 
+def fig3_with_p3(fig3, p3):
+    """fig3 with receiver 3's demand set to ``p3`` watts."""
+    rec = replace(fig3.receivers[2], p_min=float(p3))
+    return replace(fig3, receivers=fig3.receivers[:2] + (rec,))
+
+
+def assert_same_outcome(result, trace):
+    """A bare trial result carries the terminal fields of a recorded run."""
+    assert result.seed == trace.config.seed
+    assert result.iterations == trace.iterations == len(trace.records)
+    assert result.converged == trace.converged
+    assert result.feasible == trace.feasible
+    assert result.final == trace.final
+    assert result.p_tx == trace.final_report.p_tx
+
+
+class TestBareEqualsRecorded:
+    """A bare run and a recorded run of the same seed end in the same state,
+    in trials that enter an exact limit cycle, converge or keep moving."""
+
+    @pytest.mark.parametrize(
+        "p3, seed",
+        [
+            (40, 55),  # enters a 6-step cycle
+            (5, 81),  # enters a 6-step cycle
+            (35, 113),  # converges after 64,351 steps, no cycle
+        ],
+    )
+    def test_fig3_bare_equals_recorded(self, fig3, p3, seed):
+        scenario = fig3_with_p3(fig3, p3)
+        config = ProtocolConfig(dx=1e-3, k_max=100_000, seed=seed)
+        (result,) = run_trials(scenario, config, 1)
+        assert_same_outcome(result, run_protocol(scenario, config, record=True))
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [
+            (1, 2),  # enters a 2-step cycle
+            (1, 6),  # stuck at a clamped load: a 1-step cycle
+            (8, 3),  # enters a 16-step cycle
+            (8, 4),  # still moving at k_max
+        ],
+    )
+    def test_random_bare_equals_recorded(self, n, seed):
+        rng = np.random.default_rng(seed)
+        scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))
+        config = ProtocolConfig(dx=1e-3, k_max=20_000, seed=seed)
+        (result,) = run_trials(scenario, config, 1)
+        assert_same_outcome(result, run_protocol(scenario, config, record=True))
+
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ScenarioError):
@@ -430,6 +483,20 @@ class TestVerifyTraceChecks:
         violations = verify_trace(fig3, replace(bad, final=tuple(final), feasible=True))
         assert f"step {step}: replay stops: x_new nan is not a positive load" in violations
         assert violations[-1] == "feasible flag True does not match replay (False)"
+
+    def test_initial_not_a_load(self, fig3):
+        # No step is replayed from initial loads that are no positive
+        # loads; the terminal checks still run.
+        clean = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=30, seed=1))
+        for x0 in (math.nan, -1.0):
+            initial = (x0,) + clean.initial[1:]
+            message = f"initial loads {initial} are not all positive"
+            assert verify_trace(fig3, replace(clean, initial=initial)) == [message]
+            bad = replace(clean, initial=initial, feasible=not clean.feasible)
+            assert verify_trace(fig3, bad) == [
+                message,
+                f"feasible flag {bad.feasible} does not match replay ({clean.feasible})",
+            ]
 
     def test_final_loads(self, fig3, trace):
         final = trace.final[:-1] + (math.nextafter(trace.final[-1], 0.0),)

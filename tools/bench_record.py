@@ -1,0 +1,202 @@
+"""Record the benchmark of a change against its parent commit as one JSON file.
+
+    python3 tools/bench_record.py --out BENCH_9.json --seed 21 --tier1
+
+The change is the working tree when it differs from ``HEAD`` (its tracked
+files, snapshotted with ``git stash create``), and its parent is ``HEAD``;
+on a clean tree the change is ``HEAD`` and its parent ``HEAD~1``.  Both
+sides are exported with ``git archive`` into temporary directories, so
+they run from equivalent trees and no worktree stays registered in the
+repository.
+
+For every workload that ``BENCHMARK.json`` lists, the script runs
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0``, with
+T the ``run_seconds`` of ``BENCHMARK.json``, in 10 alternating pairs, the
+fewest that can show a change better in nine of ten: the parent first in
+even pairs and the change first in odd ones.  Pair i uses seed
+``--seed + i`` on both sides.  Each side runs the benchmark code of its own
+tree.
+
+The output file holds the environment (cores, Python, numpy, whether numba
+is importable), both sides' commit and the hash of their ``src`` tree, the
+measured code (once the change is committed, ``git rev-parse HEAD:src``
+gives the recorded hash), and per workload and end-to-end metric the runs,
+median and quartiles of each side and the number of pairs the change won,
+plus each side's failed operations per run.  With ``--tier1`` it also runs
+the Tier-1 suite once on the working tree and records its wall time and
+summary line; the full pytest output goes to ``.bench_out/tier1.log``.
+
+On a shared host the machine's speed can drift by tens of percent within
+minutes, so only the paired comparison says anything; the raw times are
+kept for reference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export_tree(rev: str, dest: Path) -> None:
+    """Write the files of commit ``rev`` under ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def bench_env() -> dict[str, str]:
+    """The environment without PYTHONPATH: each tree imports its own ``src``."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced benchmark run in ``tree``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=bench_env())
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
+    """Per-metric medians and quartiles of both sides, and pairs won."""
+    metrics = {}
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+        a, b = spread(parent), spread(change)
+        metrics[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m["bound"],
+            "parent": a,
+            "change": b,
+            "change_won_pairs": wins,
+            "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
+        }
+    return {
+        "metrics": metrics,
+        "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+        "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+    }
+
+
+def run_tier1(log: Path) -> dict:
+    env = bench_env()
+    env["PYTHONPATH"] = "src"
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, capture_output=True,
+                          text=True, env=env)
+    wall = time.perf_counter() - t0
+    log.write_text(done.stdout + done.stderr)
+    lines = done.stdout.strip().splitlines()
+    return {
+        "command": "PYTHONPATH=src python " + " ".join(TIER1),
+        "wall_s": round(wall, 1),
+        "exit_code": done.returncode,
+        "summary": lines[-1] if lines else "",
+    }
+
+
+def sides() -> dict[str, str]:
+    """Git revisions of the parent and the change (see the module docstring)."""
+    snapshot = git("stash", "create")
+    if snapshot:
+        return {"parent": "HEAD", "change": snapshot}
+    return {"parent": "HEAD~1", "change": "HEAD"}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="file name at the repository root")
+    parser.add_argument("--seed", type=int, default=11, help="seed of the first pair")
+    parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    revs = sides()
+    record = {
+        "environment": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "numba_importable": importlib.util.find_spec("numba") is not None,
+        },
+        **{
+            side: {
+                "commit": git("rev-parse", rev),
+                "src_tree": git("rev-parse", f"{rev}:src"),
+                "uncommitted": rev not in ("HEAD", "HEAD~1"),
+            }
+            for side, rev in revs.items()
+        },
+        "settings": {
+            "pairs": PAIRS,
+            "seeds": [args.seed, args.seed + PAIRS - 1],
+            "seconds": seconds,
+            "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+            "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        },
+        "workloads": {},
+        "tier1": None,
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: Path(tmp) / side for side in revs}
+        for side, tree in trees.items():
+            tree.mkdir()
+            export_tree(revs[side], tree)
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            for i in range(PAIRS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_bench(trees[side], workload, args.seed + i, seconds)
+                    runs[side].append(result)
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: wall_s {wall:.3f}",
+                          file=sys.stderr, flush=True)
+            record["workloads"][workload] = summarize(spec, runs)
+    if args.tier1:
+        log = ROOT / ".bench_out" / "tier1.log"
+        log.parent.mkdir(exist_ok=True)
+        record["tier1"] = run_tier1(log)
+    (ROOT / args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
