@@ -17,7 +17,7 @@ The package is organized around pure functions over immutable value types:
 
 __version__ = "0.1.0"
 
-from .analysis import ReceiverSensitivity, peak_load, sensitivity, sum_peak_load, sweep
+from .analysis import peak_load, sum_peak_load, sweep
 from .centralized import (
     FeasibilityVerdict,
     OptimizationResult,
@@ -37,7 +37,6 @@ from .circuit import (
     admittance_first_column,
     build_impedance_matrix,
     det_impedance,
-    input_resistance,
     solve_closed_form,
     solve_oracle,
 )
@@ -69,13 +68,10 @@ __all__ = [
     "PowerReport",
     "build_impedance_matrix",
     "det_impedance",
-    "input_resistance",
     "solve_closed_form",
     "solve_oracle",
     "admittance_first_column",
     # analysis
-    "ReceiverSensitivity",
-    "sensitivity",
     "peak_load",
     "sum_peak_load",
     "sweep",

@@ -27,13 +27,12 @@ returns the array kernel's powers along a grid of one receiver's load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import (
-    PowerArrays,
+    PowerReport,
     ScenarioError,
     SystemScenario,
     as_loads,
@@ -42,28 +41,10 @@ from .circuit import (
 )
 
 __all__ = [
-    "ReceiverSensitivity",
-    "sensitivity",
     "peak_load",
     "sum_peak_load",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class ReceiverSensitivity:
-    """How receiver ``n``'s load steers the power flows, at the given loads.
-
-    ``x_ddot`` is ``None`` when the aggregate power is monotone increasing in
-    x_n (no finite peak); it is kept as an explicit non-numeric marker so it
-    cannot be fed into arithmetic by accident.
-    """
-
-    n: int
-    phi: float
-    varphi: float
-    x_dot: float
-    x_ddot: float | None
 
 
 def _check_index(scenario: SystemScenario, n: int) -> None:
@@ -71,7 +52,10 @@ def _check_index(scenario: SystemScenario, n: int) -> None:
         raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
 
 
-def _coupling_sums(scenario: SystemScenario, xs: Sequence[float], n: int) -> tuple[float, float]:
+def _coupling_sums(scenario: SystemScenario, loads, n: int) -> tuple[float, float]:
+    """``r_tx + phi_n`` and ``varphi_n`` at the validated ``loads``."""
+    _check_index(scenario, n)
+    xs = as_loads(scenario, loads)
     wh2 = coupling_ohms2(scenario)
     phi = 0.0
     varphi = 0.0
@@ -81,36 +65,17 @@ def _coupling_sums(scenario: SystemScenario, xs: Sequence[float], n: int) -> tup
         d = rec.r + xs[k]
         phi += wh2[k] / d
         varphi += wh2[k] * xs[k] / (d * d)
-    return phi, varphi
-
-
-def sensitivity(scenario: SystemScenario, loads, n: int) -> ReceiverSensitivity:
-    """Coupling terms and peak locations for receiver ``n`` (0-based)."""
-    _check_index(scenario, n)
-    xs = as_loads(scenario, loads)
-    wh2_n = coupling_ohms2(scenario)[n]
-    r_n = scenario.receivers[n].r
-    r_tx = scenario.tx.r_tx
-    phi, varphi = _coupling_sums(scenario, xs, n)
-
-    x_dot = (r_n * (r_tx + phi) + wh2_n) / (r_tx + phi)
-
-    denom = r_tx + phi - 2.0 * varphi
-    if denom <= 0.0:
-        x_ddot = None
-    else:
-        x_ddot = (r_n * (r_tx + phi) + wh2_n + 2.0 * r_n * varphi) / denom
-
-    return ReceiverSensitivity(n=n, phi=phi, varphi=varphi, x_dot=x_dot, x_ddot=x_ddot)
+    return scenario.tx.r_tx + phi, varphi
 
 
 def peak_load(scenario: SystemScenario, loads, n: int) -> float:
-    """Load value maximizing receiver ``n``'s own delivered power.
+    """Load value maximizing receiver ``n``'s own delivered power (``x_peak_n``).
 
     Depends only on the other receivers' loads; the current value of
     ``loads[n]`` does not enter the formula.  Always exceeds ``r_n``.
     """
-    return sensitivity(scenario, loads, n).x_dot
+    g, _ = _coupling_sums(scenario, loads, n)
+    return (scenario.receivers[n].r * g + coupling_ohms2(scenario)[n]) / g
 
 
 def sum_peak_load(scenario: SystemScenario, loads, n: int) -> float | None:
@@ -119,10 +84,15 @@ def sum_peak_load(scenario: SystemScenario, loads, n: int) -> float | None:
     ``None`` means the aggregate power strictly increases over all
     ``x_n > 0`` (the monotone regime).
     """
-    return sensitivity(scenario, loads, n).x_ddot
+    g, varphi = _coupling_sums(scenario, loads, n)
+    denom = g - 2.0 * varphi
+    if denom <= 0.0:
+        return None
+    r_n = scenario.receivers[n].r
+    return (r_n * g + coupling_ohms2(scenario)[n] + 2.0 * r_n * varphi) / denom
 
 
-def sweep(scenario: SystemScenario, loads, n: int, grid: Sequence[float]) -> PowerArrays:
+def sweep(scenario: SystemScenario, loads, n: int, grid: Sequence[float]) -> PowerReport:
     """Closed-form powers along a grid of values for ``x_n``.
 
     All other loads stay fixed at their ``loads`` values; the entry

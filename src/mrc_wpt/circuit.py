@@ -21,11 +21,13 @@ Eliminating the receiver rows gives the closed forms used throughout this
 package.  With ``r_in = r_tx + sum_k (w*h_k)**2 / (r_k + x_k)`` (the
 effective input resistance seen by the source):
 
-    i_tx = v_tx / r_in
-    i_n  = j * w*h_n / (r_n + x_n) * v_tx / r_in
+    i    = v_tx / r_in * [1, j*w*h_1/(r_1+x_1), ..., j*w*h_N/(r_N+x_N)]
     p_tx = |v_tx|**2 / (2 * r_in)
     p_n  = |v_tx|**2 / 2 * (w*h_n)**2 * x_n / (r_n + x_n)**2 / r_in**2
 
+``solve_closed_form`` and ``closed_form_arrays`` give ``r_in`` and the
+powers as a ``PowerReport``; the currents are ``v_tx`` times the first
+column of ``A^-1``, which ``admittance_first_column`` writes out.
 ``solve_oracle`` answers the same question through a generic dense complex
 linear solve of ``A @ i = v`` and exists purely as an independent
 cross-check of the closed forms.
@@ -47,10 +49,8 @@ __all__ = [
     "SystemScenario",
     "LoadVector",
     "PowerReport",
-    "PowerArrays",
     "build_impedance_matrix",
     "det_impedance",
-    "input_resistance",
     "solve_closed_form",
     "closed_form_arrays",
     "solve_oracle",
@@ -60,15 +60,6 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """A scenario, load vector, or derived quantity violates a model invariant."""
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
-
-
-def _finite(value: float) -> bool:
-    return math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,14 @@ class TransmitterSpec:
     v_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(_finite(self.v_mag) and self.v_mag > 0, f"v_mag must be > 0 (got {self.v_mag})")
-        _require(_finite(self.r_tx) and self.r_tx > 0, f"r_tx must be > 0 (got {self.r_tx})")
-        _require(_finite(self.l_tx) and self.l_tx > 0, f"l_tx must be > 0 (got {self.l_tx})")
-        _require(_finite(self.v_phase), f"v_phase must be finite (got {self.v_phase})")
+        if not (math.isfinite(self.v_mag) and self.v_mag > 0):
+            raise ScenarioError(f"v_mag must be > 0 (got {self.v_mag})")
+        if not (math.isfinite(self.r_tx) and self.r_tx > 0):
+            raise ScenarioError(f"r_tx must be > 0 (got {self.r_tx})")
+        if not (math.isfinite(self.l_tx) and self.l_tx > 0):
+            raise ScenarioError(f"l_tx must be > 0 (got {self.l_tx})")
+        if not math.isfinite(self.v_phase):
+            raise ScenarioError(f"v_phase must be finite (got {self.v_phase})")
 
     @property
     def v_tx(self) -> complex:
@@ -113,15 +108,20 @@ class ReceiverSpec:
     p_min: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.r) and self.r > 0, f"r must be > 0 (got {self.r})")
-        _require(_finite(self.l) and self.l > 0, f"l must be > 0 (got {self.l})")
-        _require(_finite(self.h) and self.h >= 0, f"h must be >= 0 (got {self.h})")
-        _require(_finite(self.x_min) and self.x_min > 0, f"x_min must be > 0 (got {self.x_min})")
-        _require(
-            _finite(self.x_max) and self.x_max >= self.x_min,
-            f"x_max must be >= x_min (got x_max={self.x_max}, x_min={self.x_min})",
-        )
-        _require(_finite(self.p_min) and self.p_min > 0, f"p_min must be > 0 (got {self.p_min})")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ScenarioError(f"r must be > 0 (got {self.r})")
+        if not (math.isfinite(self.l) and self.l > 0):
+            raise ScenarioError(f"l must be > 0 (got {self.l})")
+        if not (math.isfinite(self.h) and self.h >= 0):
+            raise ScenarioError(f"h must be >= 0 (got {self.h})")
+        if not (math.isfinite(self.x_min) and self.x_min > 0):
+            raise ScenarioError(f"x_min must be > 0 (got {self.x_min})")
+        if not (math.isfinite(self.x_max) and self.x_max >= self.x_min):
+            raise ScenarioError(
+                f"x_max must be >= x_min (got x_max={self.x_max}, x_min={self.x_min})"
+            )
+        if not (math.isfinite(self.p_min) and self.p_min > 0):
+            raise ScenarioError(f"p_min must be > 0 (got {self.p_min})")
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,16 @@ class SystemScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "receivers", tuple(self.receivers))
-        _require(_finite(self.w) and self.w > 0, f"w must be > 0 (got {self.w})")
-        _require(len(self.receivers) >= 1, "at least one receiver is required")
+        if not (math.isfinite(self.w) and self.w > 0):
+            raise ScenarioError(f"w must be > 0 (got {self.w})")
+        if not self.receivers:
+            raise ScenarioError("at least one receiver is required")
         for k, rec in enumerate(self.receivers):
             bound = math.sqrt(rec.l * self.tx.l_tx)
-            _require(
-                rec.h <= bound * (1.0 + 1e-12),
-                f"receivers[{k}].h exceeds sqrt(l*l_tx) (h={rec.h}, bound={bound})",
-            )
+            if not rec.h <= bound * (1.0 + 1e-12):
+                raise ScenarioError(
+                    f"receivers[{k}].h exceeds sqrt(l*l_tx) (h={rec.h}, bound={bound})"
+                )
 
     @property
     def n(self) -> int:
@@ -163,7 +165,8 @@ class LoadVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         for k, v in enumerate(self.x):
-            _require(_finite(v) and v > 0, f"x[{k}] must be > 0 (got {v})")
+            if not (math.isfinite(v) and v > 0):
+                raise ScenarioError(f"x[{k}] must be > 0 (got {v})")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -175,21 +178,21 @@ class LoadVector:
         return self.x[k]
 
 
-@dataclass(frozen=True, slots=True)
-class PowerReport:
-    """Currents and powers for one load setting.
+class PowerReport(NamedTuple):
+    """Input resistance and powers of the closed form.
 
-    For any valid scenario: ``p_sum == sum(p)``, ``p_sum < p_tx``, and
-    energy balances as ``p_tx == |i_tx|^2*r_tx/2 + sum |i_n|^2*(r_n+x_n)/2``
-    (all reactive terms cancel at resonance).  These are verified by the
-    test suite rather than asserted here, so that decoupled (``h = 0``)
-    limits remain representable.
+    ``solve_closed_form`` fills it with floats for one load vector (``p`` a
+    tuple); ``closed_form_arrays`` fills it with arrays for a stack of load
+    vectors of shape ``(..., N)``: ``r_in``, ``p_tx`` and ``p_sum`` have the
+    stack shape ``(...)`` and ``p`` has the loads' shape.  For any valid
+    scenario ``p_sum == sum(p)`` and ``p_sum < p_tx``.  These are verified
+    by the test suite rather than asserted here, so that decoupled
+    (``h = 0``) limits remain representable.
     """
 
-    i_tx: complex
-    i: tuple[complex, ...]
-    p_tx: float
+    r_in: float
     p: tuple[float, ...]
+    p_tx: float
     p_sum: float
 
 
@@ -206,23 +209,14 @@ def as_loads(scenario: SystemScenario, loads: "LoadVector | Sequence[float] | It
             f"load vector has {len(xs)} entries, scenario has {scenario.n} receivers"
         )
     for k, v in enumerate(xs):
-        _require(_finite(v) and v > 0, f"x[{k}] must be > 0 (got {v})")
+        if not (math.isfinite(v) and v > 0):
+            raise ScenarioError(f"x[{k}] must be > 0 (got {v})")
     return xs
 
 
 def coupling_ohms2(scenario: SystemScenario) -> tuple[float, ...]:
     """Per-receiver coupling strengths ``(w*h_n)**2`` in ohm^2."""
     return tuple((scenario.w * rec.h) * (scenario.w * rec.h) for rec in scenario.receivers)
-
-
-def input_resistance(scenario: SystemScenario, loads) -> float:
-    """Effective resistance seen by the source: ``r_tx + sum_k (w*h_k)^2/(r_k+x_k)``."""
-    xs = as_loads(scenario, loads)
-    wh2 = coupling_ohms2(scenario)
-    acc = scenario.tx.r_tx
-    for k, rec in enumerate(scenario.receivers):
-        acc += wh2[k] / (rec.r + xs[k])
-    return acc
 
 
 def build_impedance_matrix(scenario: SystemScenario, loads) -> np.ndarray:
@@ -246,18 +240,14 @@ def det_impedance(scenario: SystemScenario, loads) -> float:
     valid scenario, which is what makes the mesh system always solvable.
     """
     xs = as_loads(scenario, loads)
-    wh2 = coupling_ohms2(scenario)
-    acc = scenario.tx.r_tx
     prod = 1.0
     for k, rec in enumerate(scenario.receivers):
-        d = rec.r + xs[k]
-        acc += wh2[k] / d
-        prod *= d
-    return acc * prod
+        prod *= rec.r + xs[k]
+    return solve_closed_form(scenario, xs).r_in * prod
 
 
 def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
-    """Currents and powers from the eliminated (closed-form) mesh solution.
+    """Input resistance and powers from the eliminated (closed-form) mesh solution.
 
     Scalar arithmetic, evaluated receiver-by-receiver in index order; the
     protocol simulator and the array kernel ``closed_form_arrays`` reproduce
@@ -271,42 +261,19 @@ def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     for k, rec in enumerate(scenario.receivers):
         r_in += wh2[k] / (rec.r + xs[k])
 
-    v = tx.v_tx
     half_v2 = 0.5 * tx.v_mag * tx.v_mag
-    i_tx = v / r_in
-    p_tx = half_v2 / r_in
-
     rr = r_in * r_in
-    currents = []
     powers = []
     p_sum = 0.0
     for k, rec in enumerate(scenario.receivers):
         d = rec.r + xs[k]
-        currents.append(1j * (scenario.w * rec.h / d) * i_tx)
         p_k = half_v2 * wh2[k] * xs[k] / (d * d) / rr
         powers.append(p_k)
         p_sum += p_k
-
-    return PowerReport(
-        i_tx=i_tx, i=tuple(currents), p_tx=p_tx, p=tuple(powers), p_sum=p_sum
-    )
+    return PowerReport(r_in=r_in, p=tuple(powers), p_tx=half_v2 / r_in, p_sum=p_sum)
 
 
-class PowerArrays(NamedTuple):
-    """Closed-form results for a stack of load vectors of shape ``(..., N)``.
-
-    ``r_in``, ``p_tx`` and ``p_sum`` have the stack shape ``(...)``; ``p``
-    has the loads' shape.  There are no currents: ``solve_closed_form``
-    gives them for one load vector.
-    """
-
-    r_in: np.ndarray
-    p: np.ndarray
-    p_tx: np.ndarray
-    p_sum: np.ndarray
-
-
-def closed_form_arrays(scenario: SystemScenario, loads) -> PowerArrays:
+def closed_form_arrays(scenario: SystemScenario, loads) -> PowerReport:
     """``solve_closed_form`` over every row of a load array of shape ``(..., N)``.
 
     Receivers are accumulated in index order with the same operations, in
@@ -340,17 +307,19 @@ def closed_form_arrays(scenario: SystemScenario, loads) -> PowerArrays:
         d = rec.r + x[..., k]
         p[..., k] = half_v2 * wh2[k] * x[..., k] / (d * d) / rr
         p_sum += p[..., k]
-    return PowerArrays(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
+    return PowerReport(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
 
 
-def solve_oracle(scenario: SystemScenario, loads) -> PowerReport:
-    """Currents and powers from a generic dense complex linear solve.
+def solve_oracle(scenario: SystemScenario, loads) -> tuple[PowerReport, np.ndarray]:
+    """Powers and the current vector from a generic dense complex linear solve.
 
     Independent of the closed forms: builds the impedance matrix, solves
-    ``A @ i = v`` with LAPACK, and derives powers from their definitions
-    (``p_tx = Re{v_tx * conj(i_tx)}/2``, ``p_n = x_n |i_n|^2 / 2``).  A
-    singular matrix (impossible for valid scenarios, where det > 0) surfaces
-    as ``numpy.linalg.LinAlgError`` and signals an invariant breach.
+    ``A @ i = v`` with LAPACK, and derives the rest from definitions
+    (``r_in = Re{v_tx / i_0}``, ``p_tx = Re{v_tx * conj(i_0)}/2``,
+    ``p_n = x_n |i_n|^2 / 2``).  Returns the report and the currents
+    ``i = [i_0, i_1, ..., i_N]``, ``i_0`` the transmitter's.  A singular matrix (impossible for valid
+    scenarios, where det > 0) surfaces as ``numpy.linalg.LinAlgError`` and
+    signals an invariant breach.
     """
     xs = as_loads(scenario, loads)
     a = build_impedance_matrix(scenario, xs)
@@ -358,28 +327,28 @@ def solve_oracle(scenario: SystemScenario, loads) -> PowerReport:
     rhs[0] = scenario.tx.v_tx
     currents = np.linalg.solve(a, rhs)
 
-    i_tx = complex(currents[0])
-    p_tx = 0.5 * (scenario.tx.v_tx * i_tx.conjugate()).real
+    v, i_0 = scenario.tx.v_tx, complex(currents[0])
     powers = [
         0.5 * xs[k] * abs(complex(currents[k + 1])) ** 2 for k in range(scenario.n)
     ]
-    return PowerReport(
-        i_tx=i_tx,
-        i=tuple(complex(c) for c in currents[1:]),
-        p_tx=p_tx,
+    report = PowerReport(
+        r_in=(v / i_0).real,
         p=tuple(powers),
+        p_tx=0.5 * (v * i_0.conjugate()).real,
         p_sum=math.fsum(powers),
     )
+    return report, currents
 
 
 def admittance_first_column(scenario: SystemScenario, loads) -> np.ndarray:
     """First column of the inverse impedance matrix, in closed form.
 
     Entry 0 is ``1/r_in``; entry n is ``j*w*h_n/(r_n+x_n) / r_in``.  The
-    current vector is this column scaled by ``v_tx``.
+    current vector is this column scaled by ``v_tx``; it is the package's
+    one closed form of the currents.
     """
     xs = as_loads(scenario, loads)
-    r_in = input_resistance(scenario, xs)
+    r_in = solve_closed_form(scenario, xs).r_in
     col = np.empty(scenario.n + 1, dtype=complex)
     col[0] = 1.0 / r_in
     for k, rec in enumerate(scenario.receivers):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,36 +37,24 @@ from .distributed import (
 from .scenario_io import load_scenario
 from .verify import run_verification
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 # Trace steps per block when array rows are turned into Python objects,
 # which bounds the temporary objects of a long trace.
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an output file, embedded as its first comment line."""
-
-    subcommand: str
-    scenario: str
-    parameters: dict
-    outputs: tuple[str, ...]
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def header_line(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "outputs": list(self.outputs),
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-        return "# " + json.dumps(payload, sort_keys=True)
+def _manifest_line(subcommand: str, scenario: str, parameters: dict, outputs) -> str:
+    """What produced an output file, as the JSON comment line that opens it."""
+    payload = {
+        "subcommand": subcommand,
+        "scenario": scenario,
+        "parameters": parameters,
+        "outputs": list(outputs),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    return "# " + json.dumps(payload, sort_keys=True)
 
 
 def _floats(count: int) -> str:
@@ -75,8 +63,8 @@ def _floats(count: int) -> str:
     return ",".join(["%.16e"] * count)
 
 
-def _write_csv(path: str, manifest: RunManifest, header: list[str], line: str, rows) -> None:
-    """Write the manifest line, the header, then ``line % row`` for each row.
+def _write_csv(path: str, manifest: str, header: list[str], line: str, rows) -> None:
+    """Write the ``manifest`` line, the header, then ``line % row`` for each row.
 
     No field needs quoting and lines end in CRLF, so the body is what
     ``csv.writer`` writes for the same fields; formatting a whole line at
@@ -84,7 +72,7 @@ def _write_csv(path: str, manifest: RunManifest, header: list[str], line: str, r
     """
     line += "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest.header_line() + "\n")
+        fh.write(manifest + "\n")
         fh.write(",".join(header) + "\r\n")
         for row in rows:
             fh.write(line % row)
@@ -152,15 +140,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         loads[k] = v
 
     powers = sweep(scenario, loads, n_idx, grid)
-    manifest = RunManifest(
-        subcommand="sweep",
-        scenario=str(args.scenario),
-        parameters={
+    manifest = _manifest_line(
+        "sweep",
+        str(args.scenario),
+        {
             "receiver": args.receiver,
             "grid": args.grid,
             "fixed": {f"x{k + 1}": v for k, v in sorted(fixed.items())},
         },
-        outputs=(args.out,),
+        (args.out,),
     )
     header = [f"x_{args.receiver}", "p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)] + ["p_sum"]
     _write_csv(
@@ -176,12 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = minimize_ptx(scenario, dz=args.dz)
-    manifest = RunManifest(
-        subcommand="optimize",
-        scenario=str(args.scenario),
-        parameters={"dz": args.dz},
-        outputs=(args.out,),
-    )
+    manifest = _manifest_line("optimize", str(args.scenario), {"dz": args.dz}, (args.out,))
     header = (
         ["status", "z_star", "p_tx"]
         + [f"x_{k + 1}" for k in range(scenario.n)]
@@ -234,12 +217,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     outputs = (args.out,) + ((args.trace,) if args.trace else ())
-    manifest = RunManifest(
-        subcommand="simulate",
-        scenario=str(args.scenario),
-        parameters=parameters,
-        outputs=outputs,
-    )
+    manifest = _manifest_line("simulate", str(args.scenario), parameters, outputs)
 
     results: tuple = ()
     if args.trace:

@@ -34,6 +34,7 @@ is its step count, whatever state the trial reaches.
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,10 +109,12 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.dx > 0:
-            raise ScenarioError(f"dx must be > 0 (got {self.dx})")
-        if not self.k_max >= 1:
-            raise ScenarioError(f"k_max must be >= 1 (got {self.k_max})")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ScenarioError(f"dx must be finite and > 0 (got {self.dx})")
+        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
+            raise ScenarioError(f"k_max must be an integer >= 1 (got {self.k_max})")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed})")
 
 
 def _step_dtype(n: int) -> np.dtype:
@@ -192,8 +195,8 @@ def _step_loads(scenario: SystemScenario, loads, n: int, dx: float) -> list[floa
     xs = list(as_loads(scenario, loads))
     if not 0 <= n < scenario.n:
         raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
-    if not dx > 0:
-        raise ScenarioError(f"dx must be > 0 (got {dx})")
+    if not (math.isfinite(dx) and dx > 0):
+        raise ScenarioError(f"dx must be finite and > 0 (got {dx})")
     return xs
 
 

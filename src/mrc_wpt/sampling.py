@@ -30,19 +30,16 @@ __all__ = [
     "with_feasible_thresholds",
 ]
 
+# Range of log10(x_max / x_min) for each random receiver.
+_LOAD_SPAN_DECADES = (1.0, 3.0)
+
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     """One draw whose logarithm is uniform on [log lo, log hi]."""
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def random_scenario(
-    rng: np.random.Generator,
-    n_receivers: int | None = None,
-    *,
-    load_span_decades: tuple[float, float] = (1.0, 3.0),
-    random_phase: bool = True,
-) -> SystemScenario:
+def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) -> SystemScenario:
     """A random valid scenario with ``n_receivers`` receivers (default 1..8).
 
     Thresholds are set to a nominal 1 W; use :func:`with_feasible_thresholds`
@@ -54,14 +51,14 @@ def random_scenario(
         v_mag=log_uniform(rng, 5.0, 200.0),
         r_tx=log_uniform(rng, 0.05, 5.0),
         l_tx=l_tx,
-        v_phase=float(rng.uniform(-math.pi, math.pi)) if random_phase else 0.0,
+        v_phase=float(rng.uniform(-math.pi, math.pi)),
     )
     receivers = []
     for _ in range(n):
         l = log_uniform(rng, 5e-7, 5e-5)
         coupling = log_uniform(rng, 0.02, 0.8)
         x_min = log_uniform(rng, 0.01, 0.5)
-        x_max = x_min * 10.0 ** rng.uniform(*load_span_decades)
+        x_max = x_min * 10.0 ** rng.uniform(*_LOAD_SPAN_DECADES)
         receivers.append(
             ReceiverSpec(
                 r=log_uniform(rng, 0.05, 5.0),

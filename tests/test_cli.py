@@ -263,6 +263,13 @@ class TestSimulateCommand:
         assert "trials must be >= 1" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "paper-fig3", "--seed", "-1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "mrc-grid simulate: seed must be an integer >= 0 (got -1)\n"
+
     def test_all_infeasible_exits_nonzero(self, tmp_path, fig3, capsys):
         from dataclasses import replace
 
@@ -292,3 +299,9 @@ class TestVerifyCommand:
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify", "--scenario", "paper-fig2", "--trials", "0"]) == 2
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["verify", "--scenario", "paper-fig2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "mrc-grid verify: seed must be an integer >= 0 (got -1)\n"
+        assert captured.out == ""

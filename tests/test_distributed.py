@@ -74,6 +74,8 @@ class TestClassifyPosition:
     def test_rejects_bad_dx(self, fig2):
         with pytest.raises(ScenarioError):
             classify_position(fig2, BENCH_LOADS, 0, 0.0)
+        with pytest.raises(ScenarioError, match=r"dx must be finite and > 0 \(got inf\)"):
+            classify_position(fig2, BENCH_LOADS, 0, math.inf)
 
 
 class TestDecideCase:
@@ -358,6 +360,19 @@ class TestConfig:
             ProtocolConfig(dx=0.0)
         with pytest.raises(ScenarioError):
             ProtocolConfig(k_max=0)
+
+    def test_rejects_bad_seed_dx_and_k_max(self):
+        for kwargs, message in (
+            ({"seed": -1}, r"seed must be an integer >= 0 \(got -1\)"),
+            ({"seed": 1.5}, r"seed must be an integer >= 0 \(got 1.5\)"),
+            ({"dx": float("inf")}, r"dx must be finite and > 0 \(got inf\)"),
+            ({"dx": float("nan")}, r"dx must be finite and > 0 \(got nan\)"),
+            ({"k_max": 2.5}, r"k_max must be an integer >= 1 \(got 2.5\)"),
+        ):
+            with pytest.raises(ScenarioError, match=message):
+                ProtocolConfig(**kwargs)
+        config = ProtocolConfig(k_max=np.int64(5), seed=np.int64(0))
+        assert config.k_max == 5 and config.seed == 0
 
 
 class TestVerifyTraceChecks:

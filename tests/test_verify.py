@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from mrc_wpt.circuit import solve_closed_form
@@ -32,7 +30,7 @@ class TestRunVerification:
         # equivalence property (tolerance 1e-9) while a clean one passes.
         def perturbed(scenario, loads):
             rep = solve_closed_form(scenario, loads)
-            return replace(rep, p_tx=rep.p_tx * (1 + 1e-6))
+            return rep._replace(p_tx=rep.p_tx * (1 + 1e-6))
 
         report = run_verification(fig2, trials=20, seed=3, solver=perturbed)
         failed = {res.name for res in report.results if not res.passed}
