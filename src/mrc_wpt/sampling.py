@@ -6,37 +6,43 @@ around the bundled demonstration scenario in frequency, coil values spanning
 sub-microhenry to tens of microhenries, and coupling ratios from loose
 (0.02) to tight (0.8) relative to the passivity bound ``sqrt(l_n * l_tx)``.
 Draws are log-uniform so that every decade is exercised equally.
+
+Draw contract: each call draws its doubles in one ``rng.random`` block.
+``random_scenario`` first draws ``rng.integers(1, 9)`` when ``n_receivers``
+is None, then 5 + 5 N doubles: l_tx, v_mag, r_tx, v_phase, then l, coupling,
+x_min, span and r of each receiver, and w last.  ``random_loads`` draws N
+doubles, ``with_feasible_thresholds`` 2 N: witness loads, then threshold
+fractions.  Each double u maps to ``lo + (hi - lo) * u``, as numpy's scalar
+``uniform(lo, hi)`` does.  Changing the contract changes every seeded test
+instance, the ``verify`` output and the benchmark's pool.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .circuit import (
     LoadVector,
     ReceiverSpec,
+    ScenarioError,
     SystemScenario,
     TransmitterSpec,
     solve_closed_form,
 )
 
 __all__ = [
-    "log_uniform",
     "random_scenario",
     "random_loads",
     "with_feasible_thresholds",
 ]
 
-# Range of log10(x_max / x_min) for each random receiver.
-_LOAD_SPAN_DECADES = (1.0, 3.0)
 
-
-def log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """One draw whose logarithm is uniform on [log lo, log hi]."""
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+def _log_uniform(lo: float, hi: float, u: float) -> float:
+    """The value whose logarithm lies the fraction ``u`` from log lo to log hi."""
+    a = math.log(lo)
+    return math.exp(a + (math.log(hi) - a) * u)
 
 
 def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) -> SystemScenario:
@@ -46,39 +52,38 @@ def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) ->
     when a demonstrably feasible optimization instance is needed.
     """
     n = int(rng.integers(1, 9)) if n_receivers is None else n_receivers
-    l_tx = log_uniform(rng, 5e-7, 5e-5)
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ScenarioError(f"n_receivers must be an integer >= 1 (got {n!r})")
+    draw = iter(rng.random(5 + 5 * n).tolist())
+    l_tx = _log_uniform(5e-7, 5e-5, next(draw))
     tx = TransmitterSpec(
-        v_mag=log_uniform(rng, 5.0, 200.0),
-        r_tx=log_uniform(rng, 0.05, 5.0),
+        v_mag=_log_uniform(5.0, 200.0, next(draw)),
+        r_tx=_log_uniform(0.05, 5.0, next(draw)),
         l_tx=l_tx,
-        v_phase=float(rng.uniform(-math.pi, math.pi)),
+        v_phase=-math.pi + (math.pi - -math.pi) * next(draw),
     )
     receivers = []
     for _ in range(n):
-        l = log_uniform(rng, 5e-7, 5e-5)
-        coupling = log_uniform(rng, 0.02, 0.8)
-        x_min = log_uniform(rng, 0.01, 0.5)
-        x_max = x_min * 10.0 ** rng.uniform(*_LOAD_SPAN_DECADES)
-        receivers.append(
-            ReceiverSpec(
-                r=log_uniform(rng, 0.05, 5.0),
-                l=l,
-                h=coupling * math.sqrt(l * l_tx),
-                x_min=x_min,
-                x_max=x_max,
-                p_min=1.0,
-            )
-        )
+        l = _log_uniform(5e-7, 5e-5, next(draw))
+        h = _log_uniform(0.02, 0.8, next(draw)) * math.sqrt(l * l_tx)
+        x_min = _log_uniform(0.01, 0.5, next(draw))
+        # log10(x_max / x_min) is uniform on [1, 3].
+        x_max = x_min * 10.0 ** (1.0 + (3.0 - 1.0) * next(draw))
+        r = _log_uniform(0.05, 5.0, next(draw))
+        receivers.append(ReceiverSpec(r=r, l=l, h=h, x_min=x_min, x_max=x_max, p_min=1.0))
     return SystemScenario(
-        w=log_uniform(rng, 2e5, 2e7), tx=tx, receivers=tuple(receivers)
+        w=_log_uniform(2e5, 2e7, next(draw)), tx=tx, receivers=tuple(receivers)
     )
+
+
+def _loads(scenario: SystemScenario, u: list[float]) -> LoadVector:
+    return LoadVector(tuple(_log_uniform(rec.x_min, rec.x_max, v)
+                            for rec, v in zip(scenario.receivers, u)))
 
 
 def random_loads(rng: np.random.Generator, scenario: SystemScenario) -> LoadVector:
     """Loads drawn log-uniform inside each receiver's [x_min, x_max]."""
-    return LoadVector(
-        tuple(log_uniform(rng, rec.x_min, rec.x_max) for rec in scenario.receivers)
-    )
+    return _loads(scenario, rng.random(scenario.n).tolist())
 
 
 def with_feasible_thresholds(
@@ -90,10 +95,12 @@ def with_feasible_thresholds(
     a random fraction (30..90%) of the power actually delivered there, which
     makes the witness a feasibility certificate for the rewritten scenario.
     """
-    witness = random_loads(rng, scenario)
-    report = solve_closed_form(scenario, witness)
+    n = scenario.n
+    u = rng.random(2 * n).tolist()
+    witness = _loads(scenario, u[:n])
+    p = solve_closed_form(scenario, witness).p
     receivers = tuple(
-        replace(rec, p_min=report.p[k] * float(rng.uniform(0.3, 0.9)))
-        for k, rec in enumerate(scenario.receivers)
+        ReceiverSpec(rec.r, rec.l, rec.h, rec.x_min, rec.x_max, p_k * (0.3 + (0.9 - 0.3) * f))
+        for rec, p_k, f in zip(scenario.receivers, p, u[n:])
     )
-    return replace(scenario, receivers=receivers), witness
+    return SystemScenario(scenario.w, scenario.tx, receivers), witness

@@ -131,14 +131,15 @@ def run_verification(
         worst_ratio = max(worst_ratio, report.p_sum / report.p_tx)
 
         # Determinant: positivity and the closed product form.
+        matrix = build_impedance_matrix(s, xs)
         det_closed = det_impedance(s, xs)
-        det_generic = np.linalg.det(build_impedance_matrix(s, xs))
+        det_generic = np.linalg.det(matrix)
         if not det_closed > 0.0:
             det_all_positive = False
         worst_det = max(worst_det, _rel(det_closed, complex(det_generic)))
 
         # First admittance column against the generic inverse.
-        col_generic = np.linalg.inv(build_impedance_matrix(s, xs))[:, 0]
+        col_generic = np.linalg.inv(matrix)[:, 0]
         for a, b in zip(col_closed, col_generic):
             worst_column = max(worst_column, _rel(complex(a), complex(b)))
 

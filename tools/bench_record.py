@@ -1,6 +1,6 @@
 """Record the benchmark of a change against its parent commit as one JSON file.
 
-    python3 tools/bench_record.py --out BENCH_9.json --seed 21 --tier1
+    python3 tools/bench_record.py --out BENCH_12.json --seed 41 --tier1
 
 The change is the working tree when it differs from ``HEAD`` (its tracked
 files, snapshotted with ``git stash create``), and its parent is ``HEAD``;
@@ -15,14 +15,17 @@ T the ``run_seconds`` of ``BENCHMARK.json``, in 10 alternating pairs, the
 fewest that can show a change better in nine of ten: the parent first in
 even pairs and the change first in odd ones.  Pair i uses seed
 ``--seed + i`` on both sides.  Each side runs the benchmark code of its own
-tree.
+tree.  After the pairs, each side runs
+``python3 bench/run.py --workload W --seed S --seconds T --trace 1`` once,
+with S the ``--seed``, parent first, for the per-layer metrics.
 
 The output file holds the environment (cores, Python, numpy, whether numba
 is importable), both sides' commit and the hash of their ``src`` tree, the
 measured code (once the change is committed, ``git rev-parse HEAD:src``
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
-plus each side's failed operations per run.  With ``--tier1`` it also runs
+plus each side's failed operations per run and each side's per-layer
+metrics from its traced run.  With ``--tier1`` it also runs
 the Tier-1 suite once on the working tree and records its wall time and
 summary line; the full pytest output goes to ``.bench_out/tier1.log``.
 
@@ -71,10 +74,10 @@ def bench_env() -> dict[str, str]:
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run in ``tree``."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result line of one benchmark run in ``tree``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=bench_env())
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -169,6 +172,8 @@ def main(argv=None) -> int:
             "seeds": [args.seed, args.seed + PAIRS - 1],
             "seconds": seconds,
             "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+            "per_layer_command": (f"python3 bench/run.py --workload W --seed {args.seed} "
+                                  f"--seconds {seconds} --trace 1"),
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         },
         "workloads": {},
@@ -190,6 +195,13 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}: wall_s {wall:.3f}",
                           file=sys.stderr, flush=True)
             record["workloads"][workload] = summarize(spec, runs)
+            traced = {side: run_bench(trees[side], workload, args.seed, seconds, trace=1)
+                      for side in ("parent", "change")}
+            record["workloads"][workload]["per_layer"] = {
+                side: {"correct": r["correct"],
+                       "metrics": {name: m["value"] for name, m in r["metrics"].items()}}
+                for side, r in traced.items()
+            }
     if args.tier1:
         log = ROOT / ".bench_out" / "tier1.log"
         log.parent.mkdir(exist_ok=True)
