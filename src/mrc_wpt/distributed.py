@@ -25,10 +25,11 @@ power expressions mirror ``circuit.solve_closed_form`` operation for
 operation, and so does the array kernel ``circuit.closed_form_arrays``, so
 simulated measurements, recorded traces, the scalar replay of
 ``agent_step`` and the array replay of ``verify_trace`` all agree to the bit.
-The engine keeps each receiver's terms of r_in and of its power from step
-to step and redoes them only for a load that moved, in the same operations
-and order.  Bare and recorded runs execute every step, so a trial's cost
-is its step count, whatever state the trial reaches.
+A step's probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same
+operations, the state that a move to either load leads to, and the move
+takes it from there; only a move clamped to a bound is computed again.
+Bare and recorded runs execute every step, so a trial's cost is its step
+count, whatever state the trial reaches.
 """
 
 from __future__ import annotations
@@ -290,12 +291,6 @@ def agent_step(
 
 
 # --- step engine -----------------------------------------------------------
-#
-# The only code that simulates the protocol: ``run_trials`` runs it bare and
-# ``run_protocol`` runs it with a recorder.  It works on plain lists of
-# floats, and its arithmetic must stay expression-for-expression identical to
-# ``solve_closed_form``; the test suite replays engine-made traces through
-# the scalar reference above and asserts bit-equality.
 
 
 def _scenario_params(scenario: SystemScenario):
@@ -320,44 +315,43 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     while ``p_work`` still holds the powers the step started from.  On
     return ``p_work`` holds the powers at the final loads.
 
-    Each receiver's terms are kept from step to step: ``t[k] = wh2[k] /
-    (r[k] + x[k])``, its share of r_in, and ``q[k]``, its power times
-    r_in squared.  ``s[k]`` is the partial sum ``r_tx + t[0] + ... +
-    t[k-1]``, so ``s[n_agents]`` is r_in.  A step that moves ``x[n]``
-    updates ``t[n]`` and ``q[n]``, and the sums from ``s[n + 1]`` on and
-    the powers are redone before the next step.  A probe of receiver ``n``
-    starts from ``s[n]``, adds its own term and then ``t[n + 1:]`` in
-    index order.  These are the operations of ``solve_closed_form`` in its
-    order, so every probe and power is the same to the bit.
+    Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
+    share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
+    the active receiver's prefix ``r_tx + t[0] + ... + t[n-1]``, summed as
+    the round goes.  A probe adds its own term to ``s_n`` and then ``t[n +
+    1:]`` in index order: the operations of ``solve_closed_form`` in its
+    order, so every probe and power is the same to the bit.  A move to a
+    probed load takes that probe's ``t``, ``q`` and r_in; a move clamped to
+    a bound computes them again.  After a move only the powers and the
+    hungry count are redone.
     """
     r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
     n_agents = len(x)
+    hw = [half_v2 * w for w in wh2]
     t = [0.0] * n_agents
     q = [0.0] * n_agents
+    r_in = r_tx
     for k in range(n_agents):
         d = r[k] + x[k]
         t[k] = wh2[k] / d
-        q[k] = half_v2 * wh2[k] * x[k] / (d * d)
-    s = [r_tx] * (n_agents + 1)
+        q[k] = hw[k] * x[k] / (d * d)
+        r_in += t[k]
+    s_n = r_tx
     n_hungry = 0  # receivers whose demand is not met
-    stale = 0  # s[stale + 1:] and the powers are out of date
+    moved = True  # the powers are out of date
     trailing_c5 = 0
     steps = 0
     n = 0
     converged = False
     while True:
-        if stale < n_agents:
-            r_in = s[stale]
-            for k in range(stale, n_agents):
-                r_in += t[k]
-                s[k + 1] = r_in
+        if moved:
             rr = r_in * r_in
             n_hungry = 0
             for k in range(n_agents):
                 p = q[k] / rr
                 p_work[k] = p
                 n_hungry += p < p_min[k]
-            stale = n_agents
+            moved = False
         if steps >= k_max:
             break
         steps += 1
@@ -373,37 +367,44 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
         w_n = wh2[n]
         d_lo = r[n] + lo
         d_hi = r[n] + hi
-        r_lo = s[n] + w_n / d_lo
-        r_hi = s[n] + w_n / d_hi
+        t_lo = w_n / d_lo
+        t_hi = w_n / d_hi
+        r_lo = s_n + t_lo
+        r_hi = s_n + t_hi
         for k in range(n + 1, n_agents):
             r_lo += t[k]
             r_hi += t[k]
-        p_lo = half_v2 * w_n * lo / (d_lo * d_lo) / (r_lo * r_lo)
-        p_hi = half_v2 * w_n * hi / (d_hi * d_hi) / (r_hi * r_hi)
+        q_lo = hw[n] * lo / (d_lo * d_lo)
+        q_hi = hw[n] * hi / (d_hi * d_hi)
+        p_lo = q_lo / (r_lo * r_lo)
+        p_hi = q_hi / (r_hi * r_hi)
 
-        if p_hi > p_own and p_lo < p_own:
-            pos = 0  # below peak
-        elif p_hi < p_own and p_lo > p_own:
-            pos = 2  # above peak
-        else:
-            pos = 1  # at peak
-
-        if hungry:
-            if pos == 0:
-                case = 1
-            elif pos == 2:
-                case = 2
-            else:
-                case = 5
-        elif p_own > p_min[n] and pos != 1:
+        below = p_hi > p_own and p_lo < p_own  # below its peak
+        if not (below or p_hi < p_own and p_lo > p_own):
+            case = 5  # at its peak
+        elif hungry:
+            case = 1 if below else 2
+        elif p_own > p_min[n]:
             case = 4 if others_fed else 3
         else:
-            case = 5
+            case = 5  # demand met exactly
 
+        # A move to a probed load takes that probe's state.  (x_min > 0, so
+        # x_n - dx > x_min means that the lower probe was at x_n - dx.)
         if case == 1 or case == 3:
-            x[n] = min(x_max[n], hi)
+            if hi < x_max[n]:
+                x[n] = hi
+                t[n], q[n], r_in = t_hi, q_hi, r_hi
+                moved = True
+            else:
+                x[n] = x_max[n]
         elif case == 2 or case == 4:
-            x[n] = max(x_min[n], x_n - dx)
+            if x_n - dx > x_min[n]:
+                x[n] = lo
+                t[n], q[n], r_in = t_lo, q_lo, r_lo
+                moved = True
+            else:
+                x[n] = x_min[n]
 
         if on_step is not None:
             on_step(n, p_lo, p_hi, case)
@@ -415,17 +416,22 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
                 break
         else:
             trailing_c5 = 0
-            if x[n] != x_n:
+            if not moved and x[n] != x_n:  # clamped to a bound
                 d = r[n] + x[n]
                 t[n] = w_n / d
-                q[n] = half_v2 * w_n * x[n] / (d * d)
-                stale = n
+                q[n] = hw[n] * x[n] / (d * d)
+                r_in = s_n + t[n]
+                for k in range(n + 1, n_agents):
+                    r_in += t[k]
+                moved = True
 
+        s_n += t[n]
         n += 1
         if n == n_agents:
             n = 0
+            s_n = r_tx
 
-    return converged, n_hungry == 0, half_v2 / s[n_agents], steps
+    return converged, n_hungry == 0, half_v2 / r_in, steps
 
 
 def _load_matrix(initial, x_new) -> np.ndarray:
@@ -542,13 +548,10 @@ def summarize(results) -> BatchSummary:
 def batch_run(
     scenario: SystemScenario, config: ProtocolConfig, trials: int
 ) -> BatchSummary:
-    """Run ``trials`` independent protocol runs seeded ``seed, seed+1, ...``.
+    """:func:`summarize` ``trials`` runs seeded ``seed, seed+1, ...``.
 
-    The mean transmit power is taken over trials whose final loads meet
-    every demand; a batch where no trial does raises
-    :class:`NoFeasibleTrialsError`, which carries the trial results.  Trial
-    outcomes are identical to ``run_protocol`` run per seed, just without
-    trace recording.
+    Each trial's outcome is that of ``run_protocol`` on its seed, without
+    recording.
     """
     return summarize(run_trials(scenario, config, trials))
 

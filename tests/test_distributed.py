@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields, replace
 
@@ -48,6 +49,23 @@ def replay_scenarios(fig3):
         rng = np.random.default_rng(seed)
         scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))
         yield f"random N={n} seed={seed}", scenario
+
+
+def replay_through_agent_step(scenario, trace, name=""):
+    """Replay ``trace`` through ``agent_step``, asserting each step's case and
+    load; returns the active receiver's load before each step."""
+    xs = list(trace.initial)
+    x_own = []
+    for k, step in enumerate(trace.records, 1):
+        n = int(step["agent"])
+        others = tuple(int(b) for m, b in enumerate(step["feedback"]) if m != n)
+        x_new, case = agent_step(scenario, xs, n, others, trace.config.dx)
+        assert case == step["case"], f"{name}, step {k}"
+        assert x_new == step["x_new"], f"{name}, step {k}"
+        x_own.append(xs[n])
+        xs[n] = x_new
+    assert tuple(xs) == trace.final, name
+    return np.array(x_own)
 
 
 class TestClassifyPosition:
@@ -185,15 +203,7 @@ class TestRunProtocol:
     def test_replay_through_agent_step(self, fig3):
         for name, s in replay_scenarios(fig3):
             trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=900, seed=21))
-            xs = list(trace.initial)
-            for k, step in enumerate(trace.records, 1):
-                n = int(step["agent"])
-                others = tuple(int(b) for m, b in enumerate(step["feedback"]) if m != n)
-                x_new, case = agent_step(s, xs, n, others, trace.config.dx)
-                assert case == step["case"], f"{name}, step {k}"
-                assert x_new == step["x_new"], f"{name}, step {k}"
-                xs[n] = x_new
-            assert tuple(xs) == trace.final, name
+            replay_through_agent_step(s, trace, name)
 
     def test_verify_trace_clean(self, fig3):
         for name, s in replay_scenarios(fig3):
@@ -352,6 +362,104 @@ class TestBareEqualsRecorded:
         (result,) = run_trials(scenario, config, 1)
         assert_same_outcome(result, run_protocol(scenario, config, record=True))
 
+
+
+def lone_with(**changes):
+    """``lone_receiver_scenario`` with fields of its receiver replaced."""
+    s = lone_receiver_scenario()
+    return replace(s, receivers=(replace(s.receivers[0], **changes),))
+
+
+def eight_receivers():
+    """A seeded N = 8 draw; its largest x_max is 15.88 ohm."""
+    rng = np.random.default_rng(6)
+    return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=8))[0]
+
+
+def step_paths(scenario, trace, x_own):
+    """Per step of ``trace``, whether it took each path that does not move
+    the load to a probed point."""
+    records = trace.records
+    dx = trace.config.dx
+    x_min = np.array([rec.x_min for rec in scenario.receivers])[records["agent"]]
+    x_max = np.array([rec.x_max for rec in scenario.receivers])[records["agent"]]
+    x_new = records["x_new"]
+    moved = x_new != x_own
+    up = np.isin(records["case"], (Case.C1, Case.C3))
+    down = np.isin(records["case"], (Case.C2, Case.C4))
+    return {
+        "clamped at x_max": up & moved & (x_new == x_max) & (x_own + dx > x_max),
+        "clamped at x_min": down & moved & (x_new == x_min) & (x_own - dx < x_min),
+        "lower probe at x_n/2": x_own - dx <= 0.0,
+        "x_n + dx == x_n": x_own + dx == x_own,
+    }
+
+
+class TestEngineEdgePaths:
+    """The engine takes the state after a move to ``x_n +- dx`` from the
+    probe at that load.  These runs take the other paths: moves clamped to a
+    bound, lower probes at ``x_n / 2`` and steps below half an ulp of the
+    load.  Each run is checked against the scalar replay, ``verify_trace``
+    and a bare run of the same seed."""
+
+    @pytest.mark.parametrize(
+        "make, dx, seed, paths",
+        [
+            # A hungry receiver below its peak climbs to x_max and stays.
+            (lambda: lone_with(x_max=1.0, p_min=1e3), 0.03, 1, {"clamped at x_max"}),
+            # A fed lone receiver lowers its load to x_min and stays.
+            (lambda: lone_with(p_min=1e-3), 0.03, 1, {"clamped at x_min"}),
+            (eight_receivers, 0.8, 1, {"clamped at x_max", "clamped at x_min"}),
+            # dx above every x_max: every lower probe is at x_n / 2.
+            (lone_receiver_scenario, 120.0, 3,
+             {"lower probe at x_n/2", "clamped at x_max", "clamped at x_min"}),
+            (eight_receivers, 32.0, 3,
+             {"lower probe at x_n/2", "clamped at x_max", "clamped at x_min"}),
+            # The lone receiver starts at 38.2 ohm (ulp 7.1e-15) and stays.
+            (lone_receiver_scenario, 1e-15, 0, {"x_n + dx == x_n"}),
+            # Small loads move by dx while the largest ones cannot.
+            (eight_receivers, 4e-16, 1, {"x_n + dx == x_n"}),
+        ],
+        ids=[
+            "N=1 x_max", "N=1 x_min", "N=8 bounds", "N=1 half", "N=8 half",
+            "N=1 ulp", "N=8 ulp",
+        ],
+    )
+    def test_run_matches_reference(self, make, dx, seed, paths):
+        scenario = make()
+        config = ProtocolConfig(dx=dx, k_max=3000, seed=seed)
+        trace = run_protocol(scenario, config, record=True)
+        x_own = replay_through_agent_step(scenario, trace)
+        taken = step_paths(scenario, trace, x_own)
+        for path in paths:
+            assert taken[path].any(), f"no step took the path {path!r}"
+        assert verify_trace(scenario, trace) == []
+        (result,) = run_trials(scenario, config, 1)
+        assert_same_outcome(result, trace)
+
+
+def batch_digest(fig3):
+    """sha256 of ``batch_run`` results at the ten fig3 demand points."""
+    digest = hashlib.sha256()
+    for p3 in range(5, 55, 5):
+        config = ProtocolConfig(dx=1e-3, k_max=20_000, seed=1000)
+        try:
+            results = batch_run(fig3_with_p3(fig3, p3), config, trials=2).results
+        except NoFeasibleTrialsError as err:
+            results = err.results
+        for res in results:
+            row = (res.seed, res.converged, res.feasible, res.iterations,
+                   res.p_tx.hex(), tuple(x.hex() for x in res.final))
+            digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_engine_outputs_pinned(fig3):
+    # Recorded from the engine that recomputed every moved load's terms, so
+    # any rewrite of the step engine must stay bit-identical to it.
+    assert batch_digest(fig3) == (
+        "7ef2c57d482cdb7c8dabd3c577b661efa1821366cae3fe93ceed3533e90ec61e"
+    )
 
 
 class TestConfig:

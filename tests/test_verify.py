@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mrc_wpt.circuit import solve_closed_form
@@ -44,3 +46,35 @@ class TestRunVerification:
     def test_thousand_trials_on_bundled(self, fig3):
         report = run_verification(fig3, trials=1000, seed=4)
         assert report.all_passed
+
+    def test_scenario_worst_is_reported(self, fig2):
+        # fig2 with other couplings has the same N and load box, so both
+        # runs draw the same random half; only the scenario worsts differ.
+        other = replace(
+            fig2, receivers=tuple(replace(rec, h=0.5 * rec.h) for rec in fig2.receivers)
+        )
+        a = run_verification(fig2, trials=40, seed=5)
+        b = run_verification(other, trials=40, seed=5)
+        for res in a.results + b.results:
+            assert res.worst_scenario <= res.worst
+        assert [r.worst_scenario for r in a.results] != [r.worst_scenario for r in b.results]
+        payload = a.to_dict()["properties"]
+        assert [p["worst_deviation_scenario"] for p in payload] == [
+            r.worst_scenario for r in a.results
+        ]
+
+    def test_fault_off_the_scenario_spares_its_worst(self, fig2):
+        # A solver that is wrong only on the random scenarios fails the
+        # equivalence property, while the caller's scenario stays clean.
+        def perturbed(scenario, loads):
+            rep = solve_closed_form(scenario, loads)
+            if scenario.receivers == fig2.receivers:
+                return rep
+            return rep._replace(p_tx=rep.p_tx * (1 + 1e-6))
+
+        report = run_verification(fig2, trials=20, seed=3, solver=perturbed)
+        equiv = report.results[0]
+        assert equiv.name == "closed_form_matches_generic_solve"
+        assert not equiv.passed
+        assert equiv.worst > 1e-7
+        assert equiv.worst_scenario <= equiv.tolerance
