@@ -44,13 +44,10 @@ from .distributed import (
     BatchSummary,
     Case,
     NoFeasibleTrialsError,
-    PeakPosition,
     ProtocolConfig,
     ProtocolTrace,
     TrialResult,
-    agent_step,
     batch_run,
-    classify_position,
     run_protocol,
     verify_trace,
 )
@@ -85,14 +82,11 @@ __all__ = [
     "minimize_ptx",
     # distributed
     "Case",
-    "PeakPosition",
     "ProtocolConfig",
     "ProtocolTrace",
     "TrialResult",
     "BatchSummary",
     "NoFeasibleTrialsError",
-    "classify_position",
-    "agent_step",
     "run_protocol",
     "batch_run",
     "verify_trace",

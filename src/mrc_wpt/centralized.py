@@ -61,6 +61,11 @@ class ZBracket:
             raise ScenarioError(f"invalid bracket [{self.z_lo}, {self.z_hi}]")
         if not (math.isfinite(self.dz) and self.dz > 0):
             raise ScenarioError(f"dz must be > 0 (got {self.dz})")
+        if self.z_hi + self.dz == self.z_hi:
+            # The candidates z_lo + k*dz would repeat for a vast number of k.
+            raise ScenarioError(
+                f"dz {self.dz} is too small to step z: z_hi + dz == z_hi ({self.z_hi})"
+            )
 
 
 @dataclass(frozen=True)

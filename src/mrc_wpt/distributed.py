@@ -17,14 +17,15 @@ hypothetical measurements and may leave the bounds (only staying positive).
 A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
-Implementation note: ``_trial_engine`` is the one simulator of the
-protocol.  ``batch_run`` runs it bare and ``run_protocol`` runs it with a
-step recorder that fills one structured array, the trace's ``records``,
-which ``verify_trace`` checks and ``simulate --trace`` writes out.  Its
-power expressions mirror ``circuit.solve_closed_form`` operation for
-operation, and so does the array kernel ``circuit.closed_form_arrays``, so
-simulated measurements, recorded traces, the scalar replay of
-``agent_step`` and the array replay of ``verify_trace`` all agree to the bit.
+Implementation note: the step is written twice.  ``_trial_engine`` is the
+one simulator of the protocol.  ``batch_run`` runs it bare and
+``run_protocol`` runs it with a step recorder that fills one structured
+array, the trace's ``records``, which ``simulate --trace`` writes out.
+``verify_trace`` is an independent array replay of the same step, and the
+tests compare the engine against it.  The engine's power expressions mirror
+``circuit.solve_closed_form`` operation for operation, and so does the array
+kernel ``circuit.closed_form_arrays`` that the replay uses, so simulated
+measurements, recorded traces and the replay all agree to the bit.
 A step's probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same
 operations, the state that a move to either load leads to, and the move
 takes it from there; only a move clamped to a bound is computed again.
@@ -38,7 +39,6 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .circuit import (
     PowerReport,
     ScenarioError,
     SystemScenario,
-    as_loads,
     closed_form_arrays,
     coupling_ohms2,
     solve_closed_form,
@@ -54,16 +53,12 @@ from .circuit import (
 
 __all__ = [
     "Case",
-    "PeakPosition",
     "ProtocolConfig",
     "ProtocolTrace",
     "TrialResult",
     "BatchSummary",
     "NoFeasibleTrialsError",
     "draw_initial_loads",
-    "classify_position",
-    "decide_case",
-    "agent_step",
     "run_protocol",
     "run_trials",
     "summarize",
@@ -80,14 +75,6 @@ class Case(enum.IntEnum):
     C3 = 3
     C4 = 4
     C5 = 5
-
-
-class PeakPosition(enum.Enum):
-    """Side of its own power peak a receiver's probe pattern indicates."""
-
-    BELOW_PEAK = "below-peak"
-    AT_PEAK = "at-peak"
-    ABOVE_PEAK = "above-peak"
 
 
 class NoFeasibleTrialsError(RuntimeError):
@@ -182,112 +169,6 @@ def draw_initial_loads(scenario: SystemScenario, seed: int) -> tuple[float, ...]
     """Initial loads, uniform over each receiver's [x_min, x_max] (PCG64 stream)."""
     rng = np.random.default_rng(seed)
     return tuple(float(rng.uniform(rec.x_min, rec.x_max)) for rec in scenario.receivers)
-
-
-# --- scalar reference -------------------------------------------------------
-#
-# One receiver step recomputed from ``solve_closed_form``, independently of the
-# step engine further down.  ``agent_step`` and ``classify_position`` are
-# built on it; ``verify_trace`` shares its case rules.
-
-
-def _step_loads(scenario: SystemScenario, loads, n: int, dx: float) -> list[float]:
-    """Validated loads as a list, for a step of receiver ``n`` with step ``dx``."""
-    xs = list(as_loads(scenario, loads))
-    if not 0 <= n < scenario.n:
-        raise IndexError(f"receiver index {n} out of range for N={scenario.n}")
-    if not (math.isfinite(dx) and dx > 0):
-        raise ScenarioError(f"dx must be finite and > 0 (got {dx})")
-    return xs
-
-
-def _probe(
-    scenario: SystemScenario, xs: list[float], n: int, dx: float, p_own: float
-) -> tuple[float, float, PeakPosition]:
-    """Probe powers at ``x_n - dx`` and ``x_n + dx`` and the side they indicate.
-
-    ``xs`` is changed during the probes and restored before returning.  A
-    lower probe that would not be positive is taken at ``x_n / 2`` instead.
-    """
-    x_n = xs[n]
-    lo = x_n - dx
-    xs[n] = lo if lo > 0.0 else 0.5 * x_n
-    p_lo = solve_closed_form(scenario, xs).p[n]
-    xs[n] = x_n + dx
-    p_hi = solve_closed_form(scenario, xs).p[n]
-    xs[n] = x_n
-    return p_lo, p_hi, _position(p_lo, p_own, p_hi)
-
-
-def _position(p_lo: float, p_own: float, p_hi: float) -> PeakPosition:
-    """The side of the peak that the three probe powers indicate."""
-    if p_hi > p_own and p_lo < p_own:
-        return PeakPosition.BELOW_PEAK
-    if p_hi < p_own and p_lo > p_own:
-        return PeakPosition.ABOVE_PEAK
-    return PeakPosition.AT_PEAK
-
-
-def classify_position(scenario: SystemScenario, loads, n: int, dx: float) -> PeakPosition:
-    """Probe-based three-way test of ``x_n`` against the receiver's own peak.
-
-    Probes are simulated measurements at ``x_n - dx`` and ``x_n + dx`` with
-    all other loads fixed; they may leave [x_min, x_max] but stay positive.
-    AT_PEAK means the peak lies within one ``dx`` of the current load.
-    """
-    xs = _step_loads(scenario, loads, n, dx)
-    return _probe(scenario, xs, n, dx, solve_closed_form(scenario, xs).p[n])[2]
-
-
-def decide_case(
-    p_own: float, p_required: float, position: PeakPosition, others_all_fed: bool
-) -> Case:
-    """Map one receiver's local view to the update rule it must take.
-
-    Exact equality ``p_own == p_required`` falls through to C5: the rules
-    use strict inequalities on both sides.  A hungry receiver already at its
-    peak also takes C5 (it cannot improve unilaterally; the others' C3
-    responses are the escape mechanism).
-    """
-    if p_own < p_required:
-        if position is PeakPosition.BELOW_PEAK:
-            return Case.C1
-        if position is PeakPosition.ABOVE_PEAK:
-            return Case.C2
-        return Case.C5
-    if p_own > p_required and position is not PeakPosition.AT_PEAK:
-        return Case.C4 if others_all_fed else Case.C3
-    return Case.C5
-
-
-def _apply_case(case: Case, x: float, dx: float, x_min: float, x_max: float) -> float:
-    if case in (Case.C1, Case.C3):
-        return min(x_max, x + dx)
-    if case in (Case.C2, Case.C4):
-        return max(x_min, x - dx)
-    return x
-
-
-def agent_step(
-    scenario: SystemScenario, loads, n: int, feedback: Sequence[int], dx: float
-) -> tuple[float, Case]:
-    """One receiver's update given the other receivers' feedback bits.
-
-    ``feedback`` carries the N-1 bits of all receivers other than ``n`` (1
-    when that receiver's demand is met).  Returns the updated ``x_n``
-    (clamped into bounds) and the rule that produced it.
-    """
-    xs = _step_loads(scenario, loads, n, dx)
-    if len(feedback) != scenario.n - 1:
-        raise ScenarioError(
-            f"feedback must have {scenario.n - 1} bits (got {len(feedback)})"
-        )
-
-    rec = scenario.receivers[n]
-    p_own = solve_closed_form(scenario, xs).p[n]
-    position = _probe(scenario, xs, n, dx, p_own)[2]
-    case = decide_case(p_own, rec.p_min, position, all(bool(b) for b in feedback))
-    return _apply_case(case, xs[n], dx, rec.x_min, rec.x_max), case
 
 
 # --- step engine -----------------------------------------------------------
@@ -556,28 +437,24 @@ def batch_run(
     return summarize(run_trials(scenario, config, trials))
 
 
-def _rule_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``decide_case`` and ``_apply_case`` as lookup tables, for array replays.
+def _cases(p_own, p_min, p_lo, p_hi, others_fed) -> np.ndarray:
+    """The rule, C1-C5 as in the module docstring, that each step takes.
 
-    The case table's entry ``[own, lo, hi, fed]`` is the case taken when
-    ``p_own`` compares to ``p_required``, and ``p_lo`` and ``p_hi`` to
-    ``p_own``, as ``own``, ``lo`` and ``hi`` say (0 below, 1 equal, 2
-    above), and ``others_all_fed`` is ``fed``.  The move table gives each
-    case value's direction: +1 raises the load, -1 lowers it, 0 keeps it.
+    One :class:`Case` value per element of the arrays.  A receiver is below
+    its peak when ``p_lo < p_own < p_hi``, above it when ``p_lo > p_own >
+    p_hi``, and at it otherwise.  Exact equality ``p_own == p_min`` takes
+    C5, as does a hungry receiver at its peak: it cannot improve on its
+    own, and the others' C3 moves are its way out.
     """
-    cases = np.zeros((3, 3, 3, 2), dtype=np.int8)
-    for own, lo, hi, fed in np.ndindex(cases.shape):
-        position = _position(float(lo), 1.0, float(hi))
-        cases[own, lo, hi, fed] = decide_case(float(own), 1.0, position, bool(fed))
-    moves = np.zeros(len(Case) + 1, dtype=np.int8)
-    for case in Case:
-        moves[case] = _apply_case(case, 0.0, 1.0, -2.0, 2.0)
-    return cases, moves
-
-
-def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """0, 1 or 2 where ``a`` is below, equal to or above ``b``."""
-    return 1 + (a > b).astype(np.intp) - (a < b)
+    below = (p_lo < p_own) & (p_hi > p_own)
+    above = (p_lo > p_own) & (p_hi < p_own)
+    hungry = p_own < p_min
+    fed = (p_own > p_min) & (below | above)
+    return np.select(
+        [hungry & below, hungry & above, fed & ~others_fed, fed & others_fed],
+        [Case.C1, Case.C2, Case.C3, Case.C4],
+        Case.C5,
+    )
 
 
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
@@ -590,13 +467,14 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     violations (empty for a sound trace), step by step and in that order
     within a step.  All comparisons are exact.
 
-    Every power is recomputed from loads, never read from the trace: the
-    loads before and after each step follow the round-robin agents and the
-    recorded ``x_new`` values, and the array kernel evaluates them and both
-    probes of every step in a few whole-trace calls.  The kernel shares no
-    code with the step engine that made the trace; the replayed case and
-    move come from ``decide_case`` and ``_apply_case`` through
-    ``_rule_tables``.  Every check runs on whole columns, and messages are
+    This replay is the second of the two places where the step is written,
+    and the tests tie it to the step engine bit for bit.  Every power is
+    recomputed from loads, never read from the trace: the loads before and
+    after each step follow the round-robin agents and the recorded
+    ``x_new`` values, and the array kernel evaluates them and both probes
+    of every step in a few whole-trace calls.  The kernel shares no code
+    with the step engine that made the trace; the replayed case comes from
+    ``_cases``.  Every check runs on whole columns, and messages are
     formatted only for the steps that fail.  The replay stops after the
     first step whose ``x_new`` is not a positive load, because no later
     step has loads that the kernel can evaluate; initial loads that are
@@ -636,20 +514,15 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     feedback = fed.astype(np.uint8)
     others_fed = feedback.sum(axis=1) - feedback[rows, cols] == n_agents - 1
 
-    case_table, move_table = _rule_tables()
-    case = case_table[
-        _compare(p_own, p_min[cols]),
-        _compare(p_lo, p_own),
-        _compare(p_hi, p_own),
-        others_fed.astype(np.intp),
-    ]
-    move = move_table[case]
+    case = _cases(p_own, p_min[cols], p_lo, p_hi, others_fed)
+    up = np.isin(case, (Case.C1, Case.C3))
+    down = np.isin(case, (Case.C2, Case.C4))
     x_min = np.array([rec.x_min for rec in receivers])[cols]
     x_max = np.array([rec.x_max for rec in receivers])[cols]
     x_expected = np.where(
-        move > 0,
+        up,
         np.minimum(x_max, x_own + dx),
-        np.where(move < 0, np.maximum(x_min, x_own - dx), x_own),
+        np.where(down, np.maximum(x_min, x_own - dx), x_own),
     )
     delta = np.abs(x_new - x_own)
 

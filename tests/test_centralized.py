@@ -123,8 +123,12 @@ class TestZBracket:
         assert br.z_lo == pytest.approx(1.0 / lo_den, rel=1e-15)
 
     def test_rejects_bad_step(self, fig3):
-        with pytest.raises(ScenarioError):
-            z_bracket(fig3, 0.0)
+        z_hi = z_bracket(fig3, 1e-3).z_hi
+        for dz in (0.0, 1e-300, math.ulp(z_hi) / 4):
+            with pytest.raises(ScenarioError):
+                z_bracket(fig3, dz)
+        # The smallest step that still moves z_hi is accepted.
+        assert z_bracket(fig3, math.ulp(z_hi)).dz == math.ulp(z_hi)
 
     def test_degenerate_box(self, rng):
         s = random_scenario(rng, n_receivers=2)

@@ -1,12 +1,13 @@
 import hashlib
+import itertools
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from mrc_wpt import distributed
 from mrc_wpt.analysis import peak_load
 from mrc_wpt.circuit import (
     ReceiverSpec,
@@ -18,13 +19,11 @@ from mrc_wpt.circuit import (
 from mrc_wpt.distributed import (
     Case,
     NoFeasibleTrialsError,
-    PeakPosition,
     ProtocolConfig,
     ProtocolTrace,
-    agent_step,
+    _cases,
+    _load_matrix,
     batch_run,
-    classify_position,
-    decide_case,
     draw_initial_loads,
     run_protocol,
     run_trials,
@@ -51,118 +50,117 @@ def replay_scenarios(fig3):
         yield f"random N={n} seed={seed}", scenario
 
 
-def replay_through_agent_step(scenario, trace, name=""):
-    """Replay ``trace`` through ``agent_step``, asserting each step's case and
-    load; returns the active receiver's load before each step."""
-    xs = list(trace.initial)
-    x_own = []
-    for k, step in enumerate(trace.records, 1):
-        n = int(step["agent"])
-        others = tuple(int(b) for m, b in enumerate(step["feedback"]) if m != n)
-        x_new, case = agent_step(scenario, xs, n, others, trace.config.dx)
-        assert case == step["case"], f"{name}, step {k}"
-        assert x_new == step["x_new"], f"{name}, step {k}"
-        x_own.append(xs[n])
-        xs[n] = x_new
-    assert tuple(xs) == trace.final, name
-    return np.array(x_own)
+def first_step(scenario, loads, dx=1e-3):
+    """The record of receiver 0's first step from ``loads``, made by the step
+    engine; ``verify_trace``'s replay must derive the same step."""
+    with mock.patch.object(distributed, "draw_initial_loads", return_value=tuple(loads)):
+        trace = run_protocol(scenario, ProtocolConfig(dx=dx, k_max=1))
+    assert verify_trace(scenario, trace) == []
+    return trace.records[0]
+
+
+def with_receiver(scenario, n, **changes):
+    """``scenario`` with fields of receiver ``n`` replaced."""
+    receivers = list(scenario.receivers)
+    receivers[n] = replace(receivers[n], **changes)
+    return replace(scenario, receivers=tuple(receivers))
 
 
 class TestClassifyPosition:
-    def test_bench_below_peak(self, fig2):
-        assert classify_position(fig2, BENCH_LOADS, 0, 1e-3) is PeakPosition.BELOW_PEAK
+    """A hungry receiver takes C1 below its peak, C2 above it and C5 at it,
+    so its case tells the side of the peak that its probes indicate."""
 
-    def test_bench_above_peak(self, fig2):
+    @pytest.fixture()
+    def hungry(self, fig2):
+        # x_min is lowered so that the x/2 fold case starts within bounds.
+        return with_receiver(fig2, 0, p_min=1e9, x_min=1e-4)
+
+    def test_bench_below_peak(self, hungry):
+        assert peak_load(hungry, BENCH_LOADS, 0) > 7.5
+        assert first_step(hungry, BENCH_LOADS)["case"] == Case.C1
+
+    def test_bench_above_peak(self, hungry):
         # The peak location depends only on the other loads, so moving x_1 to
         # 30 ohm leaves it at ~15.88 ohm and 30 ohm sits above it.
-        assert peak_load(fig2, (30.0, 7.5, 7.5), 0) == pytest.approx(15.877, abs=1e-2)
-        assert classify_position(fig2, (30.0, 7.5, 7.5), 0, 1e-3) is PeakPosition.ABOVE_PEAK
+        assert peak_load(hungry, (30.0, 7.5, 7.5), 0) == pytest.approx(15.877, abs=1e-2)
+        assert first_step(hungry, (30.0, 7.5, 7.5))["case"] == Case.C2
 
-    def test_bench_at_peak(self, fig2):
-        x_dot = peak_load(fig2, BENCH_LOADS, 0)
-        assert (
-            classify_position(fig2, (x_dot, 7.5, 7.5), 0, 1e-3) is PeakPosition.AT_PEAK
-        )
+    def test_bench_at_peak(self, hungry):
+        x_dot = peak_load(hungry, BENCH_LOADS, 0)
+        assert first_step(hungry, (x_dot, 7.5, 7.5))["case"] == Case.C5
 
-    def test_probe_floor_keeps_positive(self, fig2):
+    def test_probe_floor_keeps_positive(self, hungry):
         # Lower probe would cross zero; it is folded to x/2 instead.
-        pos = classify_position(fig2, (5e-4, 7.5, 7.5), 0, 1e-3)
-        assert pos is PeakPosition.BELOW_PEAK
-
-    def test_rejects_bad_dx(self, fig2):
-        with pytest.raises(ScenarioError):
-            classify_position(fig2, BENCH_LOADS, 0, 0.0)
-        with pytest.raises(ScenarioError, match=r"dx must be finite and > 0 \(got inf\)"):
-            classify_position(fig2, BENCH_LOADS, 0, math.inf)
+        step = first_step(hungry, (5e-4, 7.5, 7.5))
+        assert step["probes"][0] == solve_closed_form(hungry, (2.5e-4, 7.5, 7.5)).p[0]
+        assert step["case"] == Case.C1
 
 
 class TestDecideCase:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        p_own=st.floats(0.1, 100.0),
-        p_req=st.floats(0.1, 100.0),
-        position=st.sampled_from(list(PeakPosition)),
-        others_fed=st.booleans(),
-    )
-    def test_truth_table(self, p_own, p_req, position, others_fed):
-        case = decide_case(p_own, p_req, position, others_fed)
-        hungry = p_own < p_req
-        fed = p_own > p_req
-        if hungry and position is PeakPosition.BELOW_PEAK:
-            assert case is Case.C1
-        elif hungry and position is PeakPosition.ABOVE_PEAK:
-            assert case is Case.C2
-        elif fed and position is not PeakPosition.AT_PEAK:
-            assert case is (Case.C4 if others_fed else Case.C3)
-        else:
-            assert case is Case.C5
+    def test_truth_table(self):
+        # Every pattern of p_own against p_min, p_lo and p_hi against p_own
+        # (below, equal, above) and the others' feedback.
+        patterns = np.array(
+            list(itertools.product((-1, 0, 1), (-1, 0, 1), (-1, 0, 1), (0, 1)))
+        )
+        own, lo, hi, fed = patterns.T
+        p_own = 2.0 + own
+        case = _cases(p_own, 2.0, p_own + 0.5 * lo, p_own + 0.5 * hi, fed == 1)
+        for (own, lo, hi, others_fed), got in zip(patterns.tolist(), case.tolist()):
+            below, above = lo < 0 < hi, hi < 0 < lo
+            if own < 0 and below:
+                expected = Case.C1
+            elif own < 0 and above:
+                expected = Case.C2
+            elif own > 0 and (below or above):
+                expected = Case.C4 if others_fed else Case.C3
+            else:
+                expected = Case.C5
+            assert got == expected, (own, lo, hi, others_fed)
 
     def test_exact_tie_is_silent(self):
-        assert decide_case(5.0, 5.0, PeakPosition.BELOW_PEAK, False) is Case.C5
-        assert decide_case(5.0, 5.0, PeakPosition.ABOVE_PEAK, True) is Case.C5
+        case = _cases(np.array([5.0, 5.0]), 5.0, np.array([4.0, 6.0]),
+                      np.array([6.0, 4.0]), np.array([False, True]))
+        assert case.tolist() == [Case.C5, Case.C5]
 
     def test_hungry_at_peak_is_silent(self):
-        assert decide_case(1.0, 5.0, PeakPosition.AT_PEAK, True) is Case.C5
+        case = _cases(np.array([1.0]), 5.0, np.array([0.5]), np.array([0.5]), np.array([True]))
+        assert case.tolist() == [Case.C5]
 
 
 class TestAgentStep:
+    """Receiver 0's first step from chosen loads, in the engine and the replay."""
+
     def test_hungry_below_peak_raises_load(self, fig3):
         # All demands unmet at the bench loads, receiver 0 below its peak.
-        x_new, case = agent_step(fig3, BENCH_LOADS, 0, (0, 0), 1e-3)
-        assert case is Case.C1
-        assert x_new == pytest.approx(7.5 + 1e-3)
+        step = first_step(fig3, BENCH_LOADS)
+        assert step["feedback"].tolist() == [0, 0, 0]
+        assert step["case"] == Case.C1
+        assert step["x_new"] == pytest.approx(7.5 + 1e-3)
 
     def test_fed_everyone_fed_lowers_load(self, fig2):
-        x_new, case = agent_step(fig2, BENCH_LOADS, 0, (1, 1), 1e-3)
-        assert case is Case.C4
-        assert x_new == pytest.approx(7.5 - 1e-3)
+        step = first_step(fig2, BENCH_LOADS)
+        assert step["feedback"].tolist() == [1, 1, 1]
+        assert step["case"] == Case.C4
+        assert step["x_new"] == pytest.approx(7.5 - 1e-3)
 
     def test_fed_with_hungry_peer_raises_load(self, fig2):
-        x_new, case = agent_step(fig2, BENCH_LOADS, 0, (0, 1), 1e-3)
-        assert case is Case.C3
-        assert x_new == pytest.approx(7.5 + 1e-3)
+        step = first_step(with_receiver(fig2, 1, p_min=1e9), BENCH_LOADS)
+        assert step["feedback"].tolist() == [1, 0, 1]
+        assert step["case"] == Case.C3
+        assert step["x_new"] == pytest.approx(7.5 + 1e-3)
 
     def test_raise_clamps_at_upper_bound(self, fig2):
-        x_new, case = agent_step(fig2, (100.0, 7.5, 7.5), 1, (0, 1), 1e-3)
-        assert case is Case.C3
-        # receiver 1 is at 7.5, raising is unclamped; clamp the swept one
-        x_new, case = agent_step(fig2, (7.5, 100.0, 7.5), 1, (0, 1), 1e-3)
-        assert case is Case.C3
-        assert x_new == 100.0
+        # Receiver 0 sits at x_max, above its peak, fed, with a hungry peer.
+        step = first_step(with_receiver(fig2, 1, p_min=1e9), (100.0, 7.5, 7.5))
+        assert step["case"] == Case.C3
+        assert step["x_new"] == 100.0
 
     def test_exact_threshold_is_silent(self, fig2):
         p0 = solve_closed_form(fig2, BENCH_LOADS).p[0]
-        pinned = replace(
-            fig2,
-            receivers=(replace(fig2.receivers[0], p_min=p0),) + fig2.receivers[1:],
-        )
-        x_new, case = agent_step(pinned, BENCH_LOADS, 0, (1, 1), 1e-3)
-        assert case is Case.C5
-        assert x_new == 7.5
-
-    def test_feedback_length_enforced(self, fig2):
-        with pytest.raises(ScenarioError):
-            agent_step(fig2, BENCH_LOADS, 0, (1,), 1e-3)
+        step = first_step(with_receiver(fig2, 0, p_min=p0), BENCH_LOADS)
+        assert step["case"] == Case.C5
+        assert step["x_new"] == 7.5
 
 
 class TestRunProtocol:
@@ -201,9 +199,15 @@ class TestRunProtocol:
             assert rec.x_min <= x <= rec.x_max
 
     def test_replay_through_agent_step(self, fig3):
+        # The per-agent step is written once more in verify_trace's replay,
+        # which re-derives each step's case and x_new from the loads.
         for name, s in replay_scenarios(fig3):
             trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=900, seed=21))
-            replay_through_agent_step(s, trace, name)
+            assert verify_trace(s, trace) == [], name
+            xs = list(trace.initial)
+            for step in trace.records:
+                xs[step["agent"]] = float(step["x_new"])
+            assert tuple(xs) == trace.final, name
 
     def test_verify_trace_clean(self, fig3):
         for name, s in replay_scenarios(fig3):
@@ -399,8 +403,8 @@ class TestEngineEdgePaths:
     """The engine takes the state after a move to ``x_n +- dx`` from the
     probe at that load.  These runs take the other paths: moves clamped to a
     bound, lower probes at ``x_n / 2`` and steps below half an ulp of the
-    load.  Each run is checked against the scalar replay, ``verify_trace``
-    and a bare run of the same seed."""
+    load.  Each run is checked against ``verify_trace`` and a bare run of the
+    same seed."""
 
     @pytest.mark.parametrize(
         "make, dx, seed, paths",
@@ -429,7 +433,8 @@ class TestEngineEdgePaths:
         scenario = make()
         config = ProtocolConfig(dx=dx, k_max=3000, seed=seed)
         trace = run_protocol(scenario, config, record=True)
-        x_own = replay_through_agent_step(scenario, trace)
+        before = _load_matrix(trace.initial, trace.records["x_new"])[:-1]
+        x_own = before[np.arange(len(before)), trace.records["agent"]]
         taken = step_paths(scenario, trace, x_own)
         for path in paths:
             assert taken[path].any(), f"no step took the path {path!r}"

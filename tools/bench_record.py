@@ -20,7 +20,8 @@ tree.  After the pairs, each side runs
 with S the ``--seed``, parent first, for the per-layer metrics.
 
 The output file holds the environment (cores, Python, numpy, whether numba
-is importable), both sides' commit and the hash of their ``src`` tree, the
+is importable), both sides' commit, the hash of their ``src`` tree and the
+line count of its ``src/mrc_wpt/*.py`` (as ``wc -l`` counts them), the
 measured code (once the change is committed, ``git rev-parse HEAD:src``
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
@@ -67,6 +68,11 @@ def export_tree(rev: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the package modules in ``tree``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "mrc_wpt").glob("*.py"))
 
 
 def bench_env() -> dict[str, str]:
@@ -184,6 +190,7 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             tree.mkdir()
             export_tree(revs[side], tree)
+            record[side]["src_lines"] = src_lines(tree)
         for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(PAIRS):
