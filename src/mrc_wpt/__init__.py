@@ -18,15 +18,7 @@ The package is organized around pure functions over immutable value types:
 __version__ = "0.1.0"
 
 from .analysis import peak_load, sum_peak_load, sweep
-from .centralized import (
-    FeasibilityVerdict,
-    OptimizationResult,
-    ZBracket,
-    check_feasibility,
-    minimize_ptx,
-    pick_feasible_point,
-    z_bracket,
-)
+from .centralized import OptimizationResult, minimize_ptx
 from .circuit import (
     LoadVector,
     PowerReport,
@@ -73,12 +65,7 @@ __all__ = [
     "sum_peak_load",
     "sweep",
     # centralized
-    "ZBracket",
-    "FeasibilityVerdict",
     "OptimizationResult",
-    "z_bracket",
-    "check_feasibility",
-    "pick_feasible_point",
     "minimize_ptx",
     # distributed
     "Case",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import sweep
-from .centralized import minimize_ptx
+from .centralized import DZ, minimize_ptx
 from .circuit import ScenarioError, closed_form_arrays
 from .distributed import (
     Case,
@@ -163,8 +163,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    result = minimize_ptx(scenario, dz=args.dz)
-    manifest = _manifest_line("optimize", str(args.scenario), {"dz": args.dz}, (args.out,))
+    result = minimize_ptx(scenario)
+    manifest = _manifest_line("optimize", str(args.scenario), {"dz": DZ}, (args.out,))
     header = (
         ["status", "z_star", "p_tx"]
         + [f"x_{k + 1}" for k in range(scenario.n)]
@@ -303,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimum transmit power meeting all demands")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--dz", type=float, default=1e-3, help="sweep step (default 1e-3)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
 

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -10,6 +11,12 @@ def rel(a, b) -> float:
     """Relative difference with the larger magnitude as scale."""
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def fig3_with_p3(fig3, p3):
+    """fig3 with receiver 3's demand set to ``p3`` watts."""
+    rec = replace(fig3.receivers[2], p_min=float(p3))
+    return replace(fig3, receivers=fig3.receivers[:2] + (rec,))
 
 
 def _bits(value) -> bytes:
@@ -52,7 +59,7 @@ def dz_resolvable_instance(rng, n_receivers=None, dz=1e-3, max_steps=1000):
         if bracket.z_hi - bracket.z_lo > max_steps * dz:
             continue
         zs = np.arange(bracket.z_lo, bracket.z_hi, dz / 10.0)
-        flags = np.array([check_feasibility(scenario, float(z)).feasible for z in zs])
+        flags = np.array([check_feasibility(scenario, float(z)) is not None for z in zs])
         idx = np.flatnonzero(flags)
         if idx.size == 0:
             continue

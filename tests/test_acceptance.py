@@ -166,7 +166,7 @@ def test_c4_centralized_optimality_desk_scale():
     grid_unresolved = 0
     for i in range(50):
         s, _ = dz_resolvable_instance(rng, n_receivers=1 + (i % 2))
-        result = minimize_ptx(s, dz=1e-3)
+        result = minimize_ptx(s)
         assert result.is_optimal, f"instance {i} reported infeasible"
         grid_min = grid_search_min_ptx(s, points=500)
         assert grid_min is not None, f"grid found no feasible point, instance {i}"
@@ -212,7 +212,7 @@ def fig3_comparison(fig3):
     points = []
     for p3 in DEMAND_POINTS:
         s = fig3_with_demand(fig3, p3)
-        opt = minimize_ptx(s, dz=1e-3)
+        opt = minimize_ptx(s)
         assert opt.is_optimal
         summary = batch_run(s, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=FIG3_TRIALS)
         n_feas_conv = sum(1 for r in summary.results if r.feasible and r.converged)
@@ -285,7 +285,7 @@ def test_c6_protocol_soundness(fig3):
     # Full-length comparison-scenario traces at the criterion's parameters.
     for p3, seed in ((50, FIG3_SEED), (25, FIG3_SEED + 5)):
         s = fig3_with_demand(fig3, p3)
-        opt = minimize_ptx(s, dz=1e-3)
+        opt = minimize_ptx(s)
         trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=100_000, seed=seed))
         violations = verify_trace(s, trace)
         assert violations == [], f"p3={p3} seed={seed}: {violations[:5]}"

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from mrc_wpt.centralized import z_bracket
 from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.cli import main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
@@ -167,26 +166,13 @@ class TestSweepCommand:
 class TestOptimizeCommand:
     def test_bundled_comparison_scenario(self, tmp_path):
         out = tmp_path / "opt.csv"
-        assert main(["optimize", "--scenario", "paper-fig3", "--dz", "1e-3", "--out", str(out)]) == 0
+        assert main(["optimize", "--scenario", "paper-fig3", "--out", str(out)]) == 0
         manifest, body = read_output(out)
         assert body[0] == "status,z_star,p_tx,x_1,x_2,x_3,p_1,p_2,p_3"
         row = body[1].split(",")
         assert row[0] == "optimal"
         assert float(row[1]) == pytest.approx(0.7705151313338827, rel=1e-12)
         assert float(row[2]) == pytest.approx(481.5719570836767, rel=1e-12)
-
-    def test_dz_below_resolution_rejected(self, tmp_path, fig3, capsys):
-        # The candidates z_lo + k*dz would take about 1e281 steps to leave z_lo.
-        out = tmp_path / "opt.csv"
-        code = main(["optimize", "--scenario", "paper-fig3", "--dz", "1e-300",
-                     "--out", str(out)])
-        assert code == 2
-        z_hi = z_bracket(fig3, 1e-3).z_hi
-        assert capsys.readouterr().err == (
-            f"mrc-grid optimize: dz 1e-300 is too small to step z: "
-            f"z_hi + dz == z_hi ({z_hi})\n"
-        )
-        assert not out.exists()
 
     def test_infeasible_row(self, tmp_path, fig3):
         from dataclasses import replace

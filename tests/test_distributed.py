@@ -31,6 +31,8 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
+from helpers import fig3_with_p3
+
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
 
@@ -314,12 +316,6 @@ class TestBatchRun:
     def test_rejects_bad_trials(self, fig3):
         with pytest.raises(ScenarioError):
             batch_run(fig3, ProtocolConfig(), trials=0)
-
-
-def fig3_with_p3(fig3, p3):
-    """fig3 with receiver 3's demand set to ``p3`` watts."""
-    rec = replace(fig3.receivers[2], p_min=float(p3))
-    return replace(fig3, receivers=fig3.receivers[:2] + (rec,))
 
 
 def assert_same_outcome(result, trace):
