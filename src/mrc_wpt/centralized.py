@@ -33,6 +33,7 @@ from .circuit import (
     PowerReport,
     ScenarioError,
     SystemScenario,
+    _input_resistance,
     coupling_ohms2,
     solve_closed_form,
 )
@@ -90,13 +91,9 @@ class OptimizationResult(NamedTuple):
 
 def z_bracket(scenario: SystemScenario, dz: float) -> ZBracket:
     """Reciprocal-resistance bracket induced by the load box corners."""
-    wh2 = coupling_ohms2(scenario)
-    lo_den = scenario.tx.r_tx
-    hi_den = scenario.tx.r_tx
-    for k, rec in enumerate(scenario.receivers):
-        lo_den += wh2[k] / (rec.r + rec.x_min)
-        hi_den += wh2[k] / (rec.r + rec.x_max)
-    z_lo, z_hi = 1.0 / lo_den, 1.0 / hi_den
+    receivers = scenario.receivers
+    z_lo = 1.0 / _input_resistance(scenario, [rec.x_min for rec in receivers])
+    z_hi = 1.0 / _input_resistance(scenario, [rec.x_max for rec in receivers])
     if not (0.0 < z_lo <= z_hi):
         raise ScenarioError(f"invalid bracket [{z_lo}, {z_hi}]")
     if not (math.isfinite(dz) and dz > 0):

@@ -25,7 +25,9 @@ effective input resistance seen by the source):
     p_tx = |v_tx|**2 / (2 * r_in)
     p_n  = |v_tx|**2 / 2 * (w*h_n)**2 * x_n / (r_n + x_n)**2 / r_in**2
 
-``solve_closed_form`` and ``closed_form_arrays`` give ``r_in`` and the
+One body evaluates these in plain arithmetic, receivers in index order,
+and serves two entry points: ``solve_closed_form`` for one load vector and
+``closed_form_arrays`` for a stack of them, each giving ``r_in`` and the
 powers as a ``PowerReport``; the currents are ``v_tx`` times the first
 column of ``A^-1``, which ``admittance_first_column`` writes out.
 ``solve_oracle`` answers the same question through a generic dense complex
@@ -156,6 +158,13 @@ class SystemScenario:
         return len(self.receivers)
 
 
+def _check_positive(xs: tuple[float, ...]) -> None:
+    """Reject the first load that is not positive and finite."""
+    for k, v in enumerate(xs):
+        if not (math.isfinite(v) and v > 0):
+            raise ScenarioError(f"x[{k}] must be > 0 (got {v})")
+
+
 @dataclass(frozen=True)
 class LoadVector:
     """Ordered load resistances, one per receiver.  All entries must be > 0."""
@@ -164,9 +173,7 @@ class LoadVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        for k, v in enumerate(self.x):
-            if not (math.isfinite(v) and v > 0):
-                raise ScenarioError(f"x[{k}] must be > 0 (got {v})")
+        _check_positive(self.x)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -208,15 +215,14 @@ def as_loads(scenario: SystemScenario, loads: "LoadVector | Sequence[float] | It
         raise ScenarioError(
             f"load vector has {len(xs)} entries, scenario has {scenario.n} receivers"
         )
-    for k, v in enumerate(xs):
-        if not (math.isfinite(v) and v > 0):
-            raise ScenarioError(f"x[{k}] must be > 0 (got {v})")
+    _check_positive(xs)
     return xs
 
 
 def coupling_ohms2(scenario: SystemScenario) -> tuple[float, ...]:
     """Per-receiver coupling strengths ``(w*h_n)**2`` in ohm^2."""
-    return tuple((scenario.w * rec.h) * (scenario.w * rec.h) for rec in scenario.receivers)
+    w = scenario.w
+    return tuple([(w * rec.h) * (w * rec.h) for rec in scenario.receivers])
 
 
 def build_impedance_matrix(scenario: SystemScenario, loads) -> np.ndarray:
@@ -240,47 +246,55 @@ def det_impedance(scenario: SystemScenario, loads) -> float:
     valid scenario, which is what makes the mesh system always solvable.
     """
     xs = as_loads(scenario, loads)
-    prod = 1.0
+    prod = math.prod(rec.r + x for rec, x in zip(scenario.receivers, xs))
+    return _input_resistance(scenario, xs) * prod
+
+
+def _input_resistance(scenario: SystemScenario, cols):
+    """``r_tx + sum_k (w*h_k)**2 / (r_k + cols[k])``, receivers added in index
+    order; ``cols[k]``, receiver k's load, is a float or an array of one shape."""
+    wh2 = coupling_ohms2(scenario)
+    r_in = scenario.tx.r_tx
     for k, rec in enumerate(scenario.receivers):
-        prod *= rec.r + xs[k]
-    return solve_closed_form(scenario, xs).r_in * prod
+        r_in = r_in + wh2[k] / (rec.r + cols[k])
+    return r_in
+
+
+def _closed_form(scenario: SystemScenario, cols):
+    """``r_in``, the list of powers, ``p_tx`` and ``p_sum`` at the loads ``cols``:
+    the one body of the closed form, for floats and for arrays alike."""
+    r_in = _input_resistance(scenario, cols)
+    wh2 = coupling_ohms2(scenario)
+    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
+    rr = r_in * r_in
+    powers = []
+    p_sum = 0.0
+    for k, rec in enumerate(scenario.receivers):
+        d = rec.r + cols[k]
+        p_k = half_v2 * wh2[k] * cols[k] / (d * d) / rr
+        powers.append(p_k)
+        p_sum = p_sum + p_k
+    return r_in, powers, half_v2 / r_in, p_sum
 
 
 def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     """Input resistance and powers from the eliminated (closed-form) mesh solution.
 
-    Scalar arithmetic, evaluated receiver-by-receiver in index order; the
-    protocol simulator and the array kernel ``closed_form_arrays`` reproduce
-    these expressions exactly, so power values computed there are
-    bit-identical to this function's.
+    Float arithmetic, receivers in index order.  The protocol simulator
+    reproduces these expressions exactly, so power values computed there
+    are bit-identical to this function's.
     """
-    xs = as_loads(scenario, loads)
-    wh2 = coupling_ohms2(scenario)
-    tx = scenario.tx
-    r_in = tx.r_tx
-    for k, rec in enumerate(scenario.receivers):
-        r_in += wh2[k] / (rec.r + xs[k])
-
-    half_v2 = 0.5 * tx.v_mag * tx.v_mag
-    rr = r_in * r_in
-    powers = []
-    p_sum = 0.0
-    for k, rec in enumerate(scenario.receivers):
-        d = rec.r + xs[k]
-        p_k = half_v2 * wh2[k] * xs[k] / (d * d) / rr
-        powers.append(p_k)
-        p_sum += p_k
-    return PowerReport(r_in=r_in, p=tuple(powers), p_tx=half_v2 / r_in, p_sum=p_sum)
+    r_in, powers, p_tx, p_sum = _closed_form(scenario, as_loads(scenario, loads))
+    return PowerReport(r_in=r_in, p=tuple(powers), p_tx=p_tx, p_sum=p_sum)
 
 
 def closed_form_arrays(scenario: SystemScenario, loads) -> PowerReport:
     """``solve_closed_form`` over every row of a load array of shape ``(..., N)``.
 
-    Receivers are accumulated in index order with the same operations, in
-    the same order, as the scalar function, so every output is bit-identical
-    to calling ``solve_closed_form`` row by row.  One row costs more here
-    than in the scalar function; the kernel pays off from a few rows on.
-    Entries must be positive and finite, as in ``as_loads``.
+    The same body runs on the columns of the array, so every output is
+    bit-identical to calling ``solve_closed_form`` row by row.  One row
+    costs more here than in the scalar function; the kernel pays off from a
+    few rows on.  Entries must be positive and finite, as in ``as_loads``.
     """
     x = np.asarray(loads, dtype=float)
     if x.ndim == 0 or x.shape[-1] != scenario.n:
@@ -291,23 +305,8 @@ def closed_form_arrays(scenario: SystemScenario, loads) -> PowerReport:
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ScenarioError(f"x[{where[-1]}] must be > 0 (got {x[where]})")
-
-    wh2 = coupling_ohms2(scenario)
-    tx = scenario.tx
-    r_in = np.full(x.shape[:-1], tx.r_tx)
-    for k, rec in enumerate(scenario.receivers):
-        r_in += wh2[k] / (rec.r + x[..., k])
-
-    half_v2 = 0.5 * tx.v_mag * tx.v_mag
-    p_tx = half_v2 / r_in
-    rr = r_in * r_in
-    p = np.empty(x.shape)
-    p_sum = np.zeros(x.shape[:-1])
-    for k, rec in enumerate(scenario.receivers):
-        d = rec.r + x[..., k]
-        p[..., k] = half_v2 * wh2[k] * x[..., k] / (d * d) / rr
-        p_sum += p[..., k]
-    return PowerReport(r_in=r_in, p=p, p_tx=p_tx, p_sum=p_sum)
+    r_in, powers, p_tx, p_sum = _closed_form(scenario, np.moveaxis(x, -1, 0))
+    return PowerReport(r_in=r_in, p=np.stack(powers, axis=-1), p_tx=p_tx, p_sum=p_sum)
 
 
 def solve_oracle(scenario: SystemScenario, loads) -> tuple[PowerReport, np.ndarray]:
@@ -348,7 +347,7 @@ def admittance_first_column(scenario: SystemScenario, loads) -> np.ndarray:
     one closed form of the currents.
     """
     xs = as_loads(scenario, loads)
-    r_in = solve_closed_form(scenario, xs).r_in
+    r_in = _input_resistance(scenario, xs)
     col = np.empty(scenario.n + 1, dtype=complex)
     col[0] = 1.0 / r_in
     for k, rec in enumerate(scenario.receivers):

@@ -271,8 +271,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.trials < 1:
-        raise ScenarioError(f"--trials must be >= 1 (got {args.trials})")
     report = run_verification(scenario, trials=args.trials, seed=args.seed)
     payload = report.to_dict()
     payload["scenario"] = str(args.scenario)

@@ -23,9 +23,10 @@ one simulator of the protocol.  ``batch_run`` runs it bare and
 array, the trace's ``records``, which ``simulate --trace`` writes out.
 ``verify_trace`` is an independent array replay of the same step, and the
 tests compare the engine against it.  The engine's power expressions mirror
-``circuit.solve_closed_form`` operation for operation, and so does the array
-kernel ``circuit.closed_form_arrays`` that the replay uses, so simulated
-measurements, recorded traces and the replay all agree to the bit.
+operation for operation the one body of the closed form in ``circuit``,
+which serves both ``solve_closed_form`` and the array kernel
+``closed_form_arrays`` that the replay uses, so simulated measurements,
+recorded traces and the replay all agree to the bit.
 A step's probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same
 operations, the state that a move to either load leads to, and the move
 takes it from there; only a move clamped to a bound is computed again.

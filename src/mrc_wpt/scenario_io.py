@@ -42,8 +42,8 @@ __all__ = [
 
 BUNDLED_SCENARIOS = ("paper-fig2", "paper-fig3")
 
-_TX_KEYS = {"v_tx_mag", "v_tx_phase", "r_tx", "l_tx"}
-_RX_KEYS = {"r", "l", "h", "x_min", "x_max", "p_min"}
+_TX_KEYS = ("v_tx_mag", "v_tx_phase", "r_tx", "l_tx")
+_RX_KEYS = ("r", "l", "h", "x_min", "x_max", "p_min")
 
 
 def _number(obj: dict, key: str, path: str, default: float | None = None) -> float:
@@ -54,11 +54,14 @@ def _number(obj: dict, key: str, path: str, default: float | None = None) -> flo
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}.{key}: number too large for a float") from None
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ScenarioError(f"{path}: unknown field(s) {sorted(unknown)}")
 
@@ -67,7 +70,7 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
     """Build and validate a scenario from parsed JSON data."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected an object, got {type(data).__name__}")
-    _reject_unknown(data, {"omega", "transmitter", "receivers"}, path)
+    _reject_unknown(data, ("omega", "transmitter", "receivers"), path)
 
     omega = _number(data, "omega", path)
 
@@ -75,13 +78,15 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
     if not isinstance(tx_obj, dict):
         raise ScenarioError(f"{path}.transmitter: missing or not an object")
     _reject_unknown(tx_obj, _TX_KEYS, f"{path}.transmitter")
+    # Field errors name their own path; only the invariant checks get a prefix.
+    tx_fields = dict(
+        v_mag=_number(tx_obj, "v_tx_mag", f"{path}.transmitter"),
+        r_tx=_number(tx_obj, "r_tx", f"{path}.transmitter"),
+        l_tx=_number(tx_obj, "l_tx", f"{path}.transmitter"),
+        v_phase=_number(tx_obj, "v_tx_phase", f"{path}.transmitter", default=0.0),
+    )
     try:
-        tx = TransmitterSpec(
-            v_mag=_number(tx_obj, "v_tx_mag", f"{path}.transmitter"),
-            r_tx=_number(tx_obj, "r_tx", f"{path}.transmitter"),
-            l_tx=_number(tx_obj, "l_tx", f"{path}.transmitter"),
-            v_phase=_number(tx_obj, "v_tx_phase", f"{path}.transmitter", default=0.0),
-        )
+        tx = TransmitterSpec(**tx_fields)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}.transmitter: {exc}") from None
 
@@ -94,17 +99,9 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
         if not isinstance(rx_obj, dict):
             raise ScenarioError(f"{rx_path}: expected an object")
         _reject_unknown(rx_obj, _RX_KEYS, rx_path)
+        rx_fields = {key: _number(rx_obj, key, rx_path) for key in _RX_KEYS}
         try:
-            receivers.append(
-                ReceiverSpec(
-                    r=_number(rx_obj, "r", rx_path),
-                    l=_number(rx_obj, "l", rx_path),
-                    h=_number(rx_obj, "h", rx_path),
-                    x_min=_number(rx_obj, "x_min", rx_path),
-                    x_max=_number(rx_obj, "x_max", rx_path),
-                    p_min=_number(rx_obj, "p_min", rx_path),
-                )
-            )
+            receivers.append(ReceiverSpec(**rx_fields))
         except ScenarioError as exc:
             raise ScenarioError(f"{rx_path}: {exc}") from None
 
@@ -154,7 +151,7 @@ def load_scenario(source: str | Path) -> SystemScenario:
         raise ScenarioError(f"{path}: cannot read scenario file ({exc})") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal of over 4,300 digits
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(data, path=str(path))
 

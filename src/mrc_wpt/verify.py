@@ -97,7 +97,7 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate every verification property over ``trials`` samples."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1 (got {trials})")
+        raise ScenarioError(f"trials must be >= 1 (got {trials})")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ScenarioError(f"seed must be an integer >= 0 (got {seed})")
 

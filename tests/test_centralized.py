@@ -153,11 +153,11 @@ class TestZBracket:
     def test_ordering_and_values(self, fig3):
         br = z_bracket(fig3, 1e-3)
         assert 0 < br.z_lo <= br.z_hi
-        wh2 = coupling_ohms2(fig3)
-        lo_den = fig3.tx.r_tx + sum(
-            wh2[k] / (rec.r + rec.x_min) for k, rec in enumerate(fig3.receivers)
-        )
-        assert br.z_lo == pytest.approx(1.0 / lo_den, rel=1e-15)
+        # Bit equality with the closed form at the load box corners.
+        x_min = [rec.x_min for rec in fig3.receivers]
+        x_max = [rec.x_max for rec in fig3.receivers]
+        assert br.z_lo == 1.0 / solve_closed_form(fig3, x_min).r_in
+        assert br.z_hi == 1.0 / solve_closed_form(fig3, x_max).r_in
 
     def test_rejects_bad_step(self, fig3):
         z_hi = z_bracket(fig3, 1e-3).z_hi

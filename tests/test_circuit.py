@@ -261,6 +261,13 @@ class TestClosedFormArrays:
         one = closed_form_arrays(fig3, BENCH_LOADS)
         assert one.p.tolist() == list(solve_closed_form(fig3, BENCH_LOADS).p)
         assert float(one.p_tx) == solve_closed_form(fig3, BENCH_LOADS).p_tx
+        # A single row (N,) and an empty stack (0, N), as verify_trace passes
+        # when the initial loads are invalid.
+        for loads, stack in ((BENCH_LOADS, ()), (np.empty((0, 3)), (0,))):
+            arrays = closed_form_arrays(fig3, loads)
+            assert np.shape(arrays.p) == stack + (3,)
+            for field in (arrays.r_in, arrays.p_tx, arrays.p_sum):
+                assert np.shape(field) == stack
 
     def test_rejects_bad_loads(self, fig3):
         with pytest.raises(ScenarioError, match="shape"):

@@ -174,6 +174,16 @@ class TestOptimizeCommand:
         assert float(row[1]) == pytest.approx(0.7705151313338827, rel=1e-12)
         assert float(row[2]) == pytest.approx(481.5719570836767, rel=1e-12)
 
+    def test_huge_integer_in_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_scenario(load_scenario("paper-fig3"), path)
+        path.write_text(path.read_text().replace('"x_max": 100.0', '"x_max": 1' + "0" * 400, 1))
+        code = main(["optimize", "--scenario", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mrc-grid optimize: {path}.receivers[0].x_max: number too large for a float\n"
+        )
+
     def test_infeasible_row(self, tmp_path, fig3):
         from dataclasses import replace
 
@@ -299,6 +309,9 @@ class TestVerifyCommand:
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify", "--scenario", "paper-fig2", "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "mrc-grid verify: trials must be >= 1 (got 0)\n"
+        assert captured.out == ""
 
     def test_negative_seed_rejected(self, capsys):
         assert main(["verify", "--scenario", "paper-fig2", "--seed", "-1"]) == 2

@@ -63,13 +63,20 @@ class TestParsing:
     def test_missing_field_names_path(self):
         payload = valid_payload()
         del payload["receivers"][0]["x_max"]
-        with pytest.raises(ScenarioError, match=r"receivers\[0\].x_max"):
+        # The field's path is named once, not again by its receiver.
+        with pytest.raises(ScenarioError, match=r"^scenario\.receivers\[0\]\.x_max: missing"):
             scenario_from_dict(payload)
 
     def test_wrong_type_names_path(self):
         payload = valid_payload()
         payload["transmitter"]["r_tx"] = "high"
         with pytest.raises(ScenarioError, match=r"transmitter.r_tx"):
+            scenario_from_dict(payload)
+
+    def test_huge_integer_names_path(self):
+        payload = valid_payload()
+        payload["receivers"][0]["x_max"] = 10**400
+        with pytest.raises(ScenarioError, match=r"receivers\[0\].x_max: .*too large"):
             scenario_from_dict(payload)
 
     def test_unknown_field_rejected(self):
@@ -93,6 +100,10 @@ class TestParsing:
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load_scenario(path)
+        # Python refuses to parse an integer literal of over 4,300 digits.
+        path.write_text('{"omega": 1' + "0" * 5000 + "}")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
 
