@@ -58,11 +58,10 @@ _POWER_SLACK = 1e-6
 
 
 class ZBracket(NamedTuple):
-    """Attainable range of the reciprocal input resistance, plus step size."""
+    """Attainable range of the reciprocal input resistance."""
 
     z_lo: float
     z_hi: float
-    dz: float
 
 
 class FeasibleBox(NamedTuple):
@@ -90,7 +89,8 @@ class OptimizationResult(NamedTuple):
 
 
 def z_bracket(scenario: SystemScenario, dz: float) -> ZBracket:
-    """Reciprocal-resistance bracket induced by the load box corners."""
+    """Reciprocal-resistance bracket induced by the load box corners,
+    checked to be steppable in steps of ``dz``."""
     receivers = scenario.receivers
     z_lo = 1.0 / _input_resistance(scenario, [rec.x_min for rec in receivers])
     z_hi = 1.0 / _input_resistance(scenario, [rec.x_max for rec in receivers])
@@ -100,8 +100,11 @@ def z_bracket(scenario: SystemScenario, dz: float) -> ZBracket:
         raise ScenarioError(f"dz must be > 0 (got {dz})")
     if z_hi + dz == z_hi:
         # The candidates z_lo + k*dz would repeat for a vast number of k.
-        raise ScenarioError(f"dz {dz} is too small to step z: z_hi + dz == z_hi ({z_hi})")
-    return ZBracket(z_lo, z_hi, dz)
+        raise ScenarioError(
+            f"z bracket [{z_lo}, {z_hi}] is too large for the optimizer's "
+            f"fixed z step {dz}: z_hi + {dz} == z_hi"
+        )
+    return ZBracket(z_lo, z_hi)
 
 
 def check_feasibility(scenario: SystemScenario, z: float) -> FeasibleBox | None:

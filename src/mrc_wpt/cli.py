@@ -89,7 +89,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise ScenarioError(f"--grid has non-numeric parts (got {spec!r})") from None
-    if not (lo > 0 and hi >= lo and count >= 1):
+    if not (0 < lo <= hi < np.inf and count >= 1):
         raise ScenarioError(f"--grid needs 0 < lo <= hi and count >= 1 (got {spec!r})")
     if len(parts) == 4:
         return np.geomspace(lo, hi, count)
@@ -114,6 +114,8 @@ def _parse_fixed(spec: str | None, n: int, swept: int) -> dict[int, float]:
             raise ScenarioError(f"--fixed receiver x{idx + 1} out of range 1..{n}")
         if idx == swept:
             raise ScenarioError(f"--fixed receiver x{idx + 1} is the swept receiver")
+        if idx in fixed:
+            raise ScenarioError(f"--fixed names receiver x{idx + 1} twice")
         try:
             fixed[idx] = float(value)
         except ValueError:
@@ -328,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"mrc-grid {args.subcommand}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"mrc-grid {args.subcommand}: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +143,7 @@ class ProtocolTrace:
     final_report: PowerReport
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """Terminal outcome of one batch trial."""
 
     seed: int
@@ -154,8 +154,7 @@ class TrialResult:
     final: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     """Aggregate over a batch of independently seeded runs."""
 
     trials: int

@@ -42,8 +42,17 @@ __all__ = [
 
 BUNDLED_SCENARIOS = ("paper-fig2", "paper-fig3")
 
-_TX_KEYS = ("v_tx_mag", "v_tx_phase", "r_tx", "l_tx")
-_RX_KEYS = ("r", "l", "h", "x_min", "x_max", "p_min")
+# Each file object's keys in file order: (JSON key, model field, default).
+# A default of None marks a required key.
+_TX_FIELDS = (
+    ("v_tx_mag", "v_mag", None),
+    ("v_tx_phase", "v_phase", 0.0),
+    ("r_tx", "r_tx", None),
+    ("l_tx", "l_tx", None),
+)
+_RX_FIELDS = tuple(
+    (key, key, None) for key in ("r", "l", "h", "x_min", "x_max", "p_min")
+)
 
 
 def _number(obj: dict, key: str, path: str, default: float | None = None) -> float:
@@ -66,6 +75,17 @@ def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str) -> None:
         raise ScenarioError(f"{path}: unknown field(s) {sorted(unknown)}")
 
 
+def _build(spec, table, obj: dict, path: str):
+    """``spec`` from the file object ``obj`` at ``path``, read by ``table``."""
+    _reject_unknown(obj, tuple(key for key, _, _ in table), path)
+    # Field errors name their own path; only the invariant checks get a prefix.
+    fields = {field: _number(obj, key, path, default) for key, field, default in table}
+    try:
+        return spec(**fields)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
 def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
     """Build and validate a scenario from parsed JSON data."""
     if not isinstance(data, dict):
@@ -77,18 +97,7 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
     tx_obj = data.get("transmitter")
     if not isinstance(tx_obj, dict):
         raise ScenarioError(f"{path}.transmitter: missing or not an object")
-    _reject_unknown(tx_obj, _TX_KEYS, f"{path}.transmitter")
-    # Field errors name their own path; only the invariant checks get a prefix.
-    tx_fields = dict(
-        v_mag=_number(tx_obj, "v_tx_mag", f"{path}.transmitter"),
-        r_tx=_number(tx_obj, "r_tx", f"{path}.transmitter"),
-        l_tx=_number(tx_obj, "l_tx", f"{path}.transmitter"),
-        v_phase=_number(tx_obj, "v_tx_phase", f"{path}.transmitter", default=0.0),
-    )
-    try:
-        tx = TransmitterSpec(**tx_fields)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}.transmitter: {exc}") from None
+    tx = _build(TransmitterSpec, _TX_FIELDS, tx_obj, f"{path}.transmitter")
 
     rx_list = data.get("receivers")
     if not isinstance(rx_list, list) or not rx_list:
@@ -98,12 +107,7 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> SystemScenario:
         rx_path = f"{path}.receivers[{k}]"
         if not isinstance(rx_obj, dict):
             raise ScenarioError(f"{rx_path}: expected an object")
-        _reject_unknown(rx_obj, _RX_KEYS, rx_path)
-        rx_fields = {key: _number(rx_obj, key, rx_path) for key in _RX_KEYS}
-        try:
-            receivers.append(ReceiverSpec(**rx_fields))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{rx_path}: {exc}") from None
+        receivers.append(_build(ReceiverSpec, _RX_FIELDS, rx_obj, rx_path))
 
     try:
         return SystemScenario(w=omega, tx=tx, receivers=tuple(receivers))
@@ -115,21 +119,9 @@ def scenario_to_dict(scenario: SystemScenario) -> dict:
     """Inverse of :func:`scenario_from_dict`; round-trips exactly."""
     return {
         "omega": scenario.w,
-        "transmitter": {
-            "v_tx_mag": scenario.tx.v_mag,
-            "v_tx_phase": scenario.tx.v_phase,
-            "r_tx": scenario.tx.r_tx,
-            "l_tx": scenario.tx.l_tx,
-        },
+        "transmitter": {key: getattr(scenario.tx, field) for key, field, _ in _TX_FIELDS},
         "receivers": [
-            {
-                "r": rec.r,
-                "l": rec.l,
-                "h": rec.h,
-                "x_min": rec.x_min,
-                "x_max": rec.x_max,
-                "p_min": rec.p_min,
-            }
+            {key: getattr(rec, field) for key, field, _ in _RX_FIELDS}
             for rec in scenario.receivers
         ],
     }

@@ -5,20 +5,16 @@ reuse the caller's scenario with fresh random loads, even samples draw a
 fresh random scenario.  A property reports the worst deviation it saw over
 all samples and over the caller's scenario alone, so a failing run says not
 just "failed" but by how much, and where.
-
-The solver under test is injectable, which the test suite uses to confirm
-that a deliberately perturbed solver is caught by the equivalence property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import (
-    PowerReport,
     ScenarioError,
     SystemScenario,
     admittance_first_column,
@@ -31,8 +27,6 @@ from .sampling import random_loads, random_scenario
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
 
-Solver = Callable[[SystemScenario, tuple], PowerReport]
-
 # Name and tolerance of each property, in report order.
 _PROPERTIES = (
     ("closed_form_matches_generic_solve", 1e-9),
@@ -44,8 +38,7 @@ _PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     """One property's outcome over the sampled stream; ``worst_scenario`` is
     the worst deviation over the samples of the caller's scenario alone."""
 
@@ -67,8 +60,7 @@ class PropertyResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[PropertyResult, ...]
 
     @property
@@ -93,7 +85,6 @@ def run_verification(
     scenario: SystemScenario,
     trials: int = 1000,
     seed: int = 0,
-    solver: Solver = solve_closed_form,
 ) -> VerificationReport:
     """Evaluate every verification property over ``trials`` samples."""
     if trials < 1:
@@ -109,7 +100,7 @@ def run_verification(
         own = i % 2 == 0  # the caller's scenario
         s = scenario if own else random_scenario(rng)
         xs = tuple(random_loads(rng, s))
-        report = solver(s, xs)
+        report = solve_closed_form(s, xs)
         oracle, i_generic = solve_oracle(s, xs)
         col_closed = admittance_first_column(s, xs)
         i_closed = (s.tx.v_tx * col_closed).tolist()
@@ -145,7 +136,7 @@ def run_verification(
 
         # Source phase must not influence any power.
         rotated = replace(s, tx=replace(s.tx, v_phase=s.tx.v_phase + 1.234))
-        rotated_report = solver(rotated, xs)
+        rotated_report = solve_closed_form(rotated, xs)
         phase = _rel(report.p_tx, rotated_report.p_tx)
         for k in range(s.n):
             phase = max(phase, _rel(report.p[k], rotated_report.p[k]))

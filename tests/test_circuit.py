@@ -37,24 +37,36 @@ def single_receiver(h=1.8e-6, x=7.5, r=0.15, x_min=0.01, x_max=100.0):
 
 class TestTypes:
     def test_transmitter_rejects_nonpositive(self):
-        with pytest.raises(ScenarioError):
-            TransmitterSpec(v_mag=0.0, r_tx=0.35, l_tx=6.35e-6)
-        with pytest.raises(ScenarioError):
-            TransmitterSpec(v_mag=30.0, r_tx=-1.0, l_tx=6.35e-6)
-        with pytest.raises(ScenarioError):
-            TransmitterSpec(v_mag=30.0, r_tx=0.35, l_tx=0.0)
+        cases = [
+            (dict(v_mag=0.0), "v_mag must be > 0 (got 0.0)"),
+            (dict(r_tx=-1.0), "r_tx must be > 0 (got -1.0)"),
+            (dict(l_tx=0.0), "l_tx must be > 0 (got 0.0)"),
+            (dict(v_phase=math.inf), "v_phase must be finite (got inf)"),
+        ]
+        for change, message in cases:
+            fields = dict(v_mag=30.0, r_tx=0.35, l_tx=6.35e-6) | change
+            with pytest.raises(ScenarioError) as err:
+                TransmitterSpec(**fields)
+            assert str(err.value) == message
 
     def test_transmitter_phase_round_trip(self):
         tx = TransmitterSpec(v_mag=5.0, r_tx=0.5, l_tx=1e-6, v_phase=cmath.phase(3 + 4j))
         assert tx.v_tx == pytest.approx(3 + 4j)
 
     def test_receiver_rejects_bad_bounds(self):
-        with pytest.raises(ScenarioError):
-            ReceiverSpec(r=0.1, l=1e-6, h=1e-6, x_min=2.0, x_max=1.0, p_min=1.0)
-        with pytest.raises(ScenarioError):
-            ReceiverSpec(r=0.1, l=1e-6, h=1e-6, x_min=0.0, x_max=1.0, p_min=1.0)
-        with pytest.raises(ScenarioError):
-            ReceiverSpec(r=0.1, l=1e-6, h=1e-6, x_min=0.1, x_max=1.0, p_min=0.0)
+        cases = [
+            (dict(x_min=2.0), "x_max must be >= x_min (got x_max=1.0, x_min=2.0)"),
+            (dict(x_min=0.0), "x_min must be > 0 (got 0.0)"),
+            (dict(p_min=0.0), "p_min must be > 0 (got 0.0)"),
+            (dict(r=0.0), "r must be > 0 (got 0.0)"),
+            (dict(l=math.nan), "l must be > 0 (got nan)"),
+            (dict(h=-1e-9), "h must be >= 0 (got -1e-09)"),
+        ]
+        for change, message in cases:
+            fields = dict(r=0.1, l=1e-6, h=1e-6, x_min=0.1, x_max=1.0, p_min=1.0) | change
+            with pytest.raises(ScenarioError) as err:
+                ReceiverSpec(**fields)
+            assert str(err.value) == message
 
     def test_scenario_rejects_overcoupling(self):
         tx = TransmitterSpec(v_mag=30.0, r_tx=0.35, l_tx=1e-6)
@@ -66,6 +78,14 @@ class TestTypes:
         tx = TransmitterSpec(v_mag=30.0, r_tx=0.35, l_tx=1e-6)
         with pytest.raises(ScenarioError):
             SystemScenario(w=1e6, tx=tx, receivers=())
+
+    def test_scenario_rejects_bad_frequency(self):
+        tx = TransmitterSpec(v_mag=30.0, r_tx=0.35, l_tx=1e-6)
+        rec = ReceiverSpec(r=0.1, l=1e-6, h=1e-6, x_min=0.1, x_max=1.0, p_min=1.0)
+        for w in (0.0, math.inf):
+            with pytest.raises(ScenarioError) as err:
+                SystemScenario(w=w, tx=tx, receivers=(rec,))
+            assert str(err.value) == f"w must be > 0 (got {w})"
 
     def test_load_vector_validation(self):
         with pytest.raises(ScenarioError):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +142,37 @@ class TestSweepCommand:
             )
             assert code == 2
             assert "--grid" in capsys.readouterr().err
+        # Bounds out of order, not positive or not finite fail before any
+        # grid is built, so numpy has nothing to warn about.
+        for grid in ("0:100:10", "5:1:10", "1:5:0", "1:1e400:10", "1e400:1e400:10:log",
+                     "nan:5:10"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(
+                    [
+                        "sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                        "--grid", grid, "--fixed", "x2=7.5,x3=7.5",
+                        "--out", str(tmp_path / "x.csv"),
+                    ]
+                )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"mrc-grid sweep: --grid needs 0 < lo <= hi and count >= 1 (got '{grid}')\n"
+            )
+
+    def test_receiver_out_of_range_fails(self, tmp_path, capsys):
+        for receiver in ("0", "4"):
+            code = main(
+                [
+                    "sweep", "--scenario", "paper-fig2", "--receiver", receiver,
+                    "--grid", "1:50:5", "--fixed", "x2=7.5,x3=7.5",
+                    "--out", str(tmp_path / "x.csv"),
+                ]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"mrc-grid sweep: --receiver must be in 1..3 (got {receiver})\n"
+            )
 
     def test_bad_fixed_value_fails(self, tmp_path, capsys):
         code = main(
@@ -151,6 +184,51 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "not a number" in capsys.readouterr().err
+        cases = [
+            ("y2=7.5,x3=7.5", "--fixed entries must look like x2=7.5 (got 'y2=7.5')"),
+            ("x2,x3=7.5", "--fixed entries must look like x2=7.5 (got 'x2')"),
+            ("xb=7.5,x3=7.5", "--fixed entry has no receiver number: 'xb=7.5'"),
+            ("x2=7.5,x4=7.5", "--fixed receiver x4 out of range 1..3"),
+            ("x1=7.5,x2=7.5,x3=7.5", "--fixed receiver x1 is the swept receiver"),
+            ("x2=7.5,x2=8,x3=7.5", "--fixed names receiver x2 twice"),
+        ]
+        for fixed, message in cases:
+            code = main(
+                [
+                    "sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                    "--grid", "1:50:5", "--fixed", fixed,
+                    "--out", str(tmp_path / "x.csv"),
+                ]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == f"mrc-grid sweep: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_single_receiver_needs_no_fixed(self, tmp_path, fig3):
+        path = tmp_path / "one.json"
+        save_scenario(replace(fig3, receivers=fig3.receivers[:1]), path)
+        out = tmp_path / "sweep.csv"
+        assert main(
+            ["sweep", "--scenario", str(path), "--receiver", "1", "--grid", "1:50:5",
+             "--out", str(out)]
+        ) == 0
+        manifest, body = read_output(out)
+        assert manifest["parameters"]["fixed"] == {}
+        assert body[0] == "x_1,p_tx,p_1,p_sum"
+        assert len(body) == 1 + 5
+
+    def test_unwritable_output_fails(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "sweep.csv"
+        code = main(
+            [
+                "sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                "--grid", "1:50:5", "--fixed", "x2=7.5,x3=7.5", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mrc-grid sweep: [Errno 2] No such file or directory: '{out}'\n"
+        )
 
     def test_unknown_scenario_fails(self, tmp_path, capsys):
         code = main(
@@ -184,9 +262,24 @@ class TestOptimizeCommand:
             f"mrc-grid optimize: {path}.receivers[0].x_max: number too large for a float\n"
         )
 
-    def test_infeasible_row(self, tmp_path, fig3):
-        from dataclasses import replace
+    def test_bracket_beyond_fixed_step(self, tmp_path, fig3, capsys):
+        # An input resistance near 1e-14 ohm puts z near 1e14, where the
+        # optimizer's fixed step no longer moves z.
+        tiny = replace(
+            fig3,
+            tx=replace(fig3.tx, r_tx=1e-14),
+            receivers=tuple(replace(r, h=1e-22) for r in fig3.receivers),
+        )
+        path = tmp_path / "tiny.json"
+        save_scenario(tiny, path)
+        code = main(["optimize", "--scenario", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mrc-grid optimize: z bracket [100000000000000.0, 100000000000000.0] is too "
+            "large for the optimizer's fixed z step 0.001: z_hi + 0.001 == z_hi\n"
+        )
 
+    def test_infeasible_row(self, tmp_path, fig3):
         greedy = replace(
             fig3, receivers=tuple(replace(r, p_min=1e9) for r in fig3.receivers)
         )
@@ -281,8 +374,6 @@ class TestSimulateCommand:
         assert err == "mrc-grid simulate: seed must be an integer >= 0 (got -1)\n"
 
     def test_all_infeasible_exits_nonzero(self, tmp_path, fig3, capsys):
-        from dataclasses import replace
-
         greedy = replace(
             fig3, receivers=tuple(replace(r, p_min=1e9) for r in fig3.receivers)
         )

@@ -231,13 +231,25 @@ class TestRunProtocol:
                 assert rec.x_min <= x <= rec.x_max
 
     def test_single_mutator(self, fig3):
-        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=2000, seed=9))
-        xs = list(trace.initial)
-        for step in trace.records:
-            before = tuple(xs)
-            xs[step["agent"]] = float(step["x_new"])
-            changed = [k for k in range(len(xs)) if xs[k] != before[k]]
-            assert changed in ([], [step["agent"]])
+        # A spy compares the engine's own loads after every step with their
+        # copy from the step before: only the active receiver's may change.
+        rng = np.random.default_rng(8)
+        scenario8, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=8))
+        for scenario in (fig3, scenario8):
+            x = list(draw_initial_loads(scenario, 9))
+            before = list(x)
+            moves = []
+
+            def spy(n, p_lo, p_hi, case):
+                changed = [k for k in range(len(x)) if x[k] != before[k]]
+                assert changed in ([], [n])
+                moves.extend(changed)
+                before[:] = x
+
+            distributed._trial_engine(
+                distributed._scenario_params(scenario), x, [0.0] * scenario.n, 1e-3, 2000, spy
+            )
+            assert set(moves) == set(range(scenario.n))
 
     def test_convergence_at_own_peak(self):
         # A lone fed receiver descending from above parks at its power peak

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from mrc_wpt.circuit import ScenarioError
@@ -52,6 +54,18 @@ class TestParsing:
             save_scenario(s, path)
             assert load_scenario(path) == s
 
+    def test_saved_bytes_pinned(self, tmp_path, fig2, fig3):
+        # Recorded from the writer that spelled out every key by hand.
+        rng = np.random.default_rng(17)
+        path = tmp_path / "s.json"
+        digest = hashlib.sha256()
+        for s in [fig2, fig3] + [random_scenario(rng) for _ in range(20)]:
+            save_scenario(s, path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "60c56e294f260014ac2739bc187711d6d929a04fb0687c782b47bb6f87b016cb"
+        )
+
     def test_dict_round_trip(self, fig3):
         assert scenario_from_dict(scenario_to_dict(fig3)) == fig3
 
@@ -72,6 +86,19 @@ class TestParsing:
         payload["transmitter"]["r_tx"] = "high"
         with pytest.raises(ScenarioError, match=r"transmitter.r_tx"):
             scenario_from_dict(payload)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict([payload])
+        assert str(err.value) == "scenario: expected an object, got list"
+        payload = valid_payload()
+        payload["transmitter"] = [35.0]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(payload)
+        assert str(err.value) == "scenario.transmitter: missing or not an object"
+        payload = valid_payload()
+        payload["receivers"].append(7.5)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(payload)
+        assert str(err.value) == "scenario.receivers[1]: expected an object"
 
     def test_huge_integer_names_path(self):
         payload = valid_payload()
@@ -90,6 +117,19 @@ class TestParsing:
         payload["receivers"][0]["h"] = 5e-6  # above sqrt(l * l_tx)
         with pytest.raises(ScenarioError, match="sqrt"):
             scenario_from_dict(payload)
+        # A spec's own invariant error is prefixed with its object's path.
+        payload = valid_payload()
+        payload["transmitter"]["r_tx"] = 0
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(payload)
+        assert str(err.value) == "scenario.transmitter: r_tx must be > 0 (got 0.0)"
+        payload = valid_payload()
+        payload["receivers"][0]["x_min"] = 200.0
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(payload)
+        assert str(err.value) == (
+            "scenario.receivers[0]: x_max must be >= x_min (got x_max=100.0, x_min=200.0)"
+        )
 
     def test_empty_receivers_rejected(self):
         payload = valid_payload()

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from mrc_wpt import verify
 from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.verify import run_verification
 
@@ -34,7 +36,8 @@ class TestRunVerification:
             rep = solve_closed_form(scenario, loads)
             return rep._replace(p_tx=rep.p_tx * (1 + 1e-6))
 
-        report = run_verification(fig2, trials=20, seed=3, solver=perturbed)
+        with mock.patch.object(verify, "solve_closed_form", perturbed):
+            report = run_verification(fig2, trials=20, seed=3)
         failed = {res.name for res in report.results if not res.passed}
         assert "closed_form_matches_generic_solve" in failed
 
@@ -72,7 +75,8 @@ class TestRunVerification:
                 return rep
             return rep._replace(p_tx=rep.p_tx * (1 + 1e-6))
 
-        report = run_verification(fig2, trials=20, seed=3, solver=perturbed)
+        with mock.patch.object(verify, "solve_closed_form", perturbed):
+            report = run_verification(fig2, trials=20, seed=3)
         equiv = report.results[0]
         assert equiv.name == "closed_form_matches_generic_solve"
         assert not equiv.passed

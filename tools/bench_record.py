@@ -22,7 +22,10 @@ with S the ``--seed``, parent first, for the per-layer metrics.
 The output file holds the environment (cores, Python, numpy, whether numba
 is importable), both sides' commit, the hash of their ``src`` tree and the
 line count of its ``src/mrc_wpt/*.py`` (as ``wc -l`` counts them), the
-measured code (once the change is committed, ``git rev-parse HEAD:src``
+median time of ``import mrc_wpt`` over 15 fresh processes per side
+(alternating between the sides, bytecode writing off, numpy imported
+first; import is most of the ``setup_s`` of the ``cli`` and ``protocol``
+workloads), the measured code (once the change is committed, ``git rev-parse HEAD:src``
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
@@ -54,6 +57,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 PAIRS = 10
+IMPORTS = 15
+_TIME_IMPORT = (
+    "import time, numpy; t = time.perf_counter(); import mrc_wpt; "
+    "print(time.perf_counter() - t)"
+)
 
 
 def git(*args: str) -> str:
@@ -78,6 +86,19 @@ def src_lines(tree: Path) -> int:
 def bench_env() -> dict[str, str]:
     """The environment without PYTHONPATH: each tree imports its own ``src``."""
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+
+def import_ms(trees: dict[str, Path]) -> dict[str, float]:
+    """Per side, the median milliseconds of ``import mrc_wpt`` in a fresh
+    process that writes no bytecode and has imported numpy first."""
+    times: dict[str, list[float]] = {side: [] for side in trees}
+    for _ in range(IMPORTS):
+        for side, tree in trees.items():
+            env = bench_env() | {"PYTHONPATH": str(tree / "src")}
+            done = subprocess.run([sys.executable, "-B", "-c", _TIME_IMPORT], cwd=tree,
+                                  env=env, check=True, capture_output=True, text=True)
+            times[side].append(1e3 * float(done.stdout))
+    return {side: round(statistics.median(ms), 2) for side, ms in times.items()}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -191,6 +212,8 @@ def main(argv=None) -> int:
             tree.mkdir()
             export_tree(revs[side], tree)
             record[side]["src_lines"] = src_lines(tree)
+        for side, ms in import_ms(trees).items():
+            record[side]["import_ms"] = ms
         for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(PAIRS):
