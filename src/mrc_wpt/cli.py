@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -117,9 +118,12 @@ def _parse_fixed(spec: str | None, n: int, swept: int) -> dict[int, float]:
         if idx in fixed:
             raise ScenarioError(f"--fixed names receiver x{idx + 1} twice")
         try:
-            fixed[idx] = float(value)
+            load = float(value)
         except ValueError:
             raise ScenarioError(f"--fixed value is not a number: {item!r}") from None
+        if not (math.isfinite(load) and load > 0):
+            raise ScenarioError(f"--fixed x{idx + 1} must be finite and > 0 (got {load})")
+        fixed[idx] = load
     return fixed
 
 

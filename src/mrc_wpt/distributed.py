@@ -32,12 +32,25 @@ operations, the state that a move to either load leads to, and the move
 takes it from there; only a move clamped to a bound is computed again.
 Bare and recorded runs execute every step, so a trial's cost is its step
 count, whatever state the trial reaches.
+
+The trials of one ``run_trials`` (and so ``batch_run``) call share no
+state, and they run in forked worker processes, one per usable CPU: the
+calling process runs one share itself and each other share runs in a child.
+Results come back in seed order, bit-identical to running every trial in
+one process.  The call runs serially, in-process, when one worker is
+enough (one trial or one usable CPU), when ``os.fork`` does not exist, or
+when the caller has other Python threads, because forking a threaded
+process can deadlock.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import pickle
+import signal
+import threading
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -334,21 +347,105 @@ def _load_matrix(initial, x_new) -> np.ndarray:
     return values[src]
 
 
-def run_trials(
-    scenario: SystemScenario, config: ProtocolConfig, trials: int
-) -> tuple[TrialResult, ...]:
-    """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording."""
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {trials})")
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_seeds(scenario: SystemScenario, config: ProtocolConfig, seeds) -> list[TrialResult]:
+    """Outcomes of the trials of ``seeds``, one after another, in their order."""
     params = _scenario_params(scenario)
     p_work = [0.0] * scenario.n
     results: list[TrialResult] = []
-    for seed in range(config.seed, config.seed + trials):
+    for seed in seeds:
         x = list(draw_initial_loads(scenario, seed))
         converged, feasible, p_tx, steps = _trial_engine(
             params, x, p_work, config.dx, config.k_max
         )
         results.append(TrialResult(seed, converged, feasible, steps, p_tx, tuple(x)))
+    return results
+
+
+def _fork_worker(scenario: SystemScenario, config: ProtocolConfig, seeds):
+    """Run ``_run_seeds`` on ``seeds`` in a forked child.
+
+    Returns the child's pid and the read end of a pipe, as a binary file,
+    that carries ``pickle.dumps((ok, payload))``: the results, or the
+    exception raised (a ``RuntimeError`` with its ``repr`` when it does not
+    pickle).  The child never returns into the caller's stack.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            data = pickle.dumps((True, _run_seeds(scenario, config, seeds)))
+        except BaseException as exc:  # raised again in the caller
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_trials(
+    scenario: SystemScenario, config: ProtocolConfig, trials: int
+) -> tuple[TrialResult, ...]:
+    """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording.
+
+    The trials run in forked workers, one per usable CPU and at most one
+    per trial: worker ``w`` of ``W`` takes every ``W``-th seed from the
+    ``w``-th, and the calling process runs worker 0's share itself.  The
+    results are in seed order and bit-identical to one process running
+    them all.  A single worker, a platform without ``os.fork`` or a caller
+    with other Python threads runs them serially in-process.  An exception
+    raised in a worker is raised here; a worker that ends without a result
+    raises ``RuntimeError``.  Every worker has ended when this returns or
+    raises.
+    """
+    if trials < 1:
+        raise ScenarioError(f"trials must be >= 1 (got {trials})")
+    seeds = range(config.seed, config.seed + trials)
+    workers = min(trials, _usable_cpus())
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return tuple(_run_seeds(scenario, config, seeds))
+    children = {}  # pid -> read end of its pipe, until the worker is reaped
+    results: list = [None] * trials
+    try:
+        for w in range(1, workers):
+            pid, pipe = _fork_worker(scenario, config, seeds[w::workers])
+            children[pid] = pipe
+        results[0::workers] = _run_seeds(scenario, config, seeds[0::workers])
+        for w, (pid, pipe) in enumerate(list(children.items()), 1):
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(pid).close()
+            if not data:
+                raise RuntimeError(
+                    f"trial worker {pid} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results[w::workers] = payload
+    finally:
+        for pid, pipe in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
     return tuple(results)
 
 
@@ -432,7 +529,10 @@ def batch_run(
     """:func:`summarize` ``trials`` runs seeded ``seed, seed+1, ...``.
 
     Each trial's outcome is that of ``run_protocol`` on its seed, without
-    recording.
+    recording.  The trials run through :func:`run_trials`, in forked
+    workers, one per usable CPU, or serially in-process where it falls
+    back; they are summarized in seed order, so the summary is
+    bit-identical to one process running them all.
     """
     return summarize(run_trials(scenario, config, trials))
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import warnings
@@ -191,6 +192,10 @@ class TestSweepCommand:
             ("x2=7.5,x4=7.5", "--fixed receiver x4 out of range 1..3"),
             ("x1=7.5,x2=7.5,x3=7.5", "--fixed receiver x1 is the swept receiver"),
             ("x2=7.5,x2=8,x3=7.5", "--fixed names receiver x2 twice"),
+            ("x2=nan,x3=7.5", "--fixed x2 must be finite and > 0 (got nan)"),
+            ("x2=-1,x3=7.5", "--fixed x2 must be finite and > 0 (got -1.0)"),
+            ("x2=inf,x3=7.5", "--fixed x2 must be finite and > 0 (got inf)"),
+            ("x2=0,x3=7.5", "--fixed x2 must be finite and > 0 (got 0.0)"),
         ]
         for fixed, message in cases:
             code = main(
@@ -340,6 +345,18 @@ class TestSimulateCommand:
         header = ["iter", "n", "fb_bits", "case", "x_1", "x_2", "x_3", "p_tx", "p_1", "p_2", "p_3"]
         assert len(rows) == trace.iterations == 1500
         assert raw_body(trace_path) == csv_body(header, rows)
+
+    def test_summary_body_pinned(self, tmp_path):
+        # Recorded with every trial run in one process.  (paper-fig3 meets
+        # no demand in 3000 steps at these seeds and writes no summary.)
+        args = ["simulate", "--scenario", "paper-fig2", "--trials", "5", "--kmax", "3000",
+                "--seed", "7"]
+        for extra in ([], ["--trace", str(tmp_path / "t.csv")]):
+            out = tmp_path / "s.csv"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            assert hashlib.sha256(raw_body(out).encode()).hexdigest() == (
+                "a7e5af74f3fe2cb941d4ece2add03cd0f95f75d98d83e4ed1b8738ce871841f7"
+            )
 
     def test_traced_trial_is_trial_one(self, tmp_path, fig2):
         # The traced run is the summary's first trial; the summary is the

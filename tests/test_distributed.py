@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import os
+import time
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -473,6 +475,114 @@ def test_engine_outputs_pinned(fig3):
     assert batch_digest(fig3) == (
         "7ef2c57d482cdb7c8dabd3c577b661efa1821366cae3fe93ceed3533e90ec61e"
     )
+
+
+def serial_trials(scenario, config, trials):
+    """``run_trials`` on its serial path: every trial in this process."""
+    with mock.patch.object(distributed, "_usable_cpus", return_value=1):
+        return run_trials(scenario, config, trials)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelTrials:
+    """``run_trials`` splits a batch's seeds over forked workers; its results
+    must equal those of the serial path, and no worker may outlive it."""
+
+    @staticmethod
+    def cases(fig3):
+        yield fig3_with_p3(fig3, 5), 0
+        yield fig3_with_p3(fig3, 35), 100
+        # The N = 1 draw's seeds 29, 32 and 36 converge before k_max.
+        for n, seed, first in ((1, 1, 29), (8, 3, 0)):
+            rng = np.random.default_rng(seed)
+            yield with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0], first
+
+    def test_equals_serial_path(self, fig3):
+        converged = 0
+        for scenario, first in self.cases(fig3):
+            config = ProtocolConfig(dx=1e-3, k_max=3000, seed=first)
+            for trials in (1, 2, 3, 5, 8):
+                serial = serial_trials(scenario, config, trials)
+                assert [res.seed for res in serial] == list(range(first, first + trials))
+                assert run_trials(scenario, config, trials) == serial
+                with mock.patch.object(distributed, "_usable_cpus", return_value=3):
+                    assert run_trials(scenario, config, trials) == serial
+                assert_no_child_left()
+                converged += sum(res.converged and res.iterations < 3000 for res in serial)
+        assert converged > 0
+
+    @staticmethod
+    def failing_engine(scenario, seed, fail):
+        """``_trial_engine`` that calls ``fail(in_parent)`` on ``seed``'s trial."""
+        engine = distributed._trial_engine
+        loads = list(draw_initial_loads(scenario, seed))
+        parent = os.getpid()
+
+        def fake(params, x, *args):
+            if x == loads:
+                fail(os.getpid() == parent)
+            return engine(params, x, *args)
+
+        return mock.patch.object(distributed, "_trial_engine", fake)
+
+    def run_two_workers(self, fig3, fail):
+        """Two trials, seeds 0 and 1, on two workers: seed 1 runs in the child."""
+        config = ProtocolConfig(dx=1e-3, k_max=200, seed=0)
+        with self.failing_engine(fig3, 1, fail), \
+                mock.patch.object(distributed, "_usable_cpus", return_value=2):
+            run_trials(fig3, config, 2)
+
+    def test_worker_exception_reaches_caller(self, fig3):
+        def fail(in_parent):
+            assert not in_parent
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="^boom$"):
+            self.run_two_workers(fig3, fail)
+        assert_no_child_left()
+
+    def test_unpicklable_worker_exception(self, fig3):
+        class Local(Exception):
+            pass
+
+        def fail(in_parent):
+            assert not in_parent
+            raise Local("boom")
+
+        with pytest.raises(RuntimeError) as err:
+            self.run_two_workers(fig3, fail)
+        assert str(err.value) == repr(Local("boom"))
+        assert_no_child_left()
+
+    def test_dead_worker_raises(self, fig3):
+        def fail(in_parent):
+            if in_parent:
+                raise AssertionError("the failing seed ran in the caller")
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match=r"^trial worker \d+ ended without a result "
+                                               r"\(exit status 3\)$"):
+            self.run_two_workers(fig3, fail)
+        assert_no_child_left()
+
+    def test_interrupted_caller_kills_workers(self, fig3):
+        def fail(in_parent):
+            if in_parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        t0 = time.perf_counter()
+        # Seed 0 runs in the caller and is interrupted while seed 1's worker sleeps.
+        with self.failing_engine(fig3, 1, fail), self.failing_engine(fig3, 0, fail), \
+                mock.patch.object(distributed, "_usable_cpus", return_value=2):
+            with pytest.raises(KeyboardInterrupt):
+                run_trials(fig3, ProtocolConfig(dx=1e-3, k_max=200, seed=0), 2)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
 
 
 class TestConfig:

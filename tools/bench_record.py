@@ -29,7 +29,10 @@ workloads), the measured code (once the change is committed, ``git rev-parse HEA
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
-metrics from its traced run.  With ``--tier1`` it also runs
+metrics from its traced run, and each side's CPU seconds per run: user plus
+system time of the benchmark process and every process it forked and waited
+for, read from ``RUSAGE_CHILDREN`` around the run, so work moved to worker
+processes stays counted.  With ``--tier1`` it also runs
 the Tier-1 suite once on the working tree and records its wall time and
 summary line; the full pytest output goes to ``.bench_out/tier1.log``.
 
@@ -45,6 +48,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -101,15 +105,23 @@ def import_ms(trees: dict[str, Path]) -> dict[str, float]:
     return {side: round(statistics.median(ms), 2) for side, ms in times.items()}
 
 
+def cpu_s_of_children() -> float:
+    """User plus system seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one benchmark run in ``tree``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    before = cpu_s_of_children()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=bench_env())
+    cpu_s = cpu_s_of_children() - before
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]) | {"cpu_s": cpu_s}
 
 
 def spread(values: list[float]) -> dict:
@@ -141,6 +153,7 @@ def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+        "cpu_s": {side: spread([r["cpu_s"] for r in rs]) for side, rs in runs.items()},
     }
 
 
@@ -222,8 +235,8 @@ def main(argv=None) -> int:
                     result = run_bench(trees[side], workload, args.seed + i, seconds)
                     runs[side].append(result)
                     wall = result["metrics"]["wall_s"]["value"]
-                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: wall_s {wall:.3f}",
-                          file=sys.stderr, flush=True)
+                    print(f"{workload} pair {i + 1}/{PAIRS} {side}: wall_s {wall:.3f}, "
+                          f"cpu_s {result['cpu_s']:.3f}", file=sys.stderr, flush=True)
             record["workloads"][workload] = summarize(spec, runs)
             traced = {side: run_bench(trees[side], workload, args.seed, seconds, trace=1)
                       for side in ("parent", "change")}
