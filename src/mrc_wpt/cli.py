@@ -5,7 +5,8 @@ manifest (subcommand, scenario, resolved parameters, output paths, tool
 version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
-a property failed).
+a property failed).  Long CSV bodies are formatted on every usable CPU, in
+forked workers, and written in order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .distributed import (
     ProtocolConfig,
     ProtocolTrace,
     TrialResult,
+    _forked,
     _load_matrix,
+    _workers,
     run_protocol,
     run_trials,
     summarize,
@@ -40,8 +43,8 @@ from .verify import run_verification
 
 __all__ = ["main"]
 
-# Trace steps per block when array rows are turned into Python objects,
-# which bounds the temporary objects of a long trace.
+# Rows per block of a CSV body, the unit that one worker formats at once;
+# it bounds the temporary objects of a long body.
 _BLOCK = 4096
 
 
@@ -64,19 +67,33 @@ def _floats(count: int) -> str:
     return ",".join(["%.16e"] * count)
 
 
-def _write_csv(path: str, manifest: str, header: list[str], line: str, rows) -> None:
-    """Write the ``manifest`` line, the header, then ``line % row`` for each row.
+def _write_csv(path: str, manifest: str, header: list[str], line: str, rows, count: int) -> None:
+    """Write the ``manifest`` line, the header, then ``line % row`` for each
+    of the ``count`` rows, where ``rows(a, b)`` gives rows ``a`` to ``b - 1``.
 
     No field needs quoting and lines end in CRLF, so the body is what
-    ``csv.writer`` writes for the same fields; formatting a whole line at
-    once is what keeps a 50,000-point sweep or a 1e5-step trace cheap.
+    ``csv.writer`` writes for the same fields.  Formatting the numbers costs
+    most, so forked workers, one per usable CPU, format ``_BLOCK``-row
+    blocks: worker ``w`` of ``W`` sends blocks ``w, w + W, ...`` as each is
+    ready, and this process formats worker 0's share and writes all in order.
+    A body of one block is written in-process.
     """
     line += "\r\n"
+    blocks = range(-(-count // _BLOCK))
+    workers = _workers(len(blocks))
+
+    def block(b):
+        return "".join([line % row for row in rows(b * _BLOCK, (b + 1) * _BLOCK)])
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(manifest + "\n")
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(line % row)
+
+        def write(receive):
+            for b in blocks:
+                fh.write(receive(b % workers) if b % workers else block(b))
+
+        _forked(lambda w: map(block, blocks[w::workers]), workers, "CSV", write)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -157,12 +174,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (args.out,),
     )
     header = [f"x_{args.receiver}", "p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)] + ["p_sum"]
+    table = np.column_stack((grid, powers.p_tx, powers.p, powers.p_sum))
     _write_csv(
         args.out,
         manifest,
         header,
         _floats(scenario.n + 3),
-        map(tuple, np.column_stack((grid, powers.p_tx, powers.p, powers.p_sum)).tolist()),
+        lambda a, b: map(tuple, table[a:b].tolist()),
+        len(table),
     )
     return 0
 
@@ -181,7 +200,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         row = (result.z_star, result.report.p_tx, *result.loads, *result.report.p)
     else:
         line, row = "infeasible" + "," * (2 + 2 * scenario.n), ()
-    _write_csv(args.out, manifest, header, line, [row])
+    _write_csv(args.out, manifest, header, line, lambda a, b: [row], 1)
     if not result.is_optimal:
         print(
             f"optimize: no feasible load setting ({result.iterations} candidates examined)",
@@ -191,24 +210,26 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _trace_rows(scenario, trace: ProtocolTrace):
-    """One CSV row per recorded step: its fields, then the loads after it and
-    their powers, which one array-kernel call gives for the whole run."""
+    """``rows(a, b)``: one CSV row per recorded step ``a + 1`` to ``b``, its fields, then
+    the loads after it and their powers, which one array-kernel call gives."""
     records = trace.records
     loads = _load_matrix(trace.initial, records["x_new"])[1:]
     powers = closed_form_arrays(scenario, loads)
     numbers = np.hstack((loads, powers.p_tx[:, None], powers.p))
     bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
     names = {case.value: case.name for case in Case}
-    for start in range(0, len(records), _BLOCK):
-        block = slice(start, start + _BLOCK)
+
+    def rows(a, b):
         for k, n, fb, case, values in zip(
-            range(start + 1, start + _BLOCK + 1),
-            records["agent"][block].tolist(),
-            bits[block, 0].astype(str).tolist(),
-            records["case"][block].tolist(),
-            numbers[block].tolist(),
+            range(a + 1, b + 1),
+            records["agent"][a:b].tolist(),
+            bits[a:b, 0].astype(str).tolist(),
+            records["case"][a:b].tolist(),
+            numbers[a:b].tolist(),
         ):
             yield (k, n + 1, fb, names[case], *values)
+
+    return rows
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -236,7 +257,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             + [f"p_{k + 1}" for k in range(scenario.n)]
         )
         line = "%d,%d,%s,%s," + _floats(2 * scenario.n + 1)
-        _write_csv(args.trace, manifest, header, line, _trace_rows(scenario, trace))
+        _write_csv(
+            args.trace, manifest, header, line, _trace_rows(scenario, trace), len(trace.records)
+        )
         results = (
             TrialResult(
                 config.seed,
@@ -262,15 +285,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         manifest,
         ["trials", "n_feasible", "n_infeasible", "n_converged", "mean_ptx_feasible"],
         "%d,%d,%d,%d,%.16e",
-        [
-            (
-                summary.trials,
-                summary.n_feasible,
-                summary.n_infeasible,
-                summary.n_converged,
-                summary.mean_ptx_feasible,
-            )
-        ],
+        lambda a, b: [summary[:5]],
+        1,
     )
     return 0
 

@@ -37,16 +37,17 @@ The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state, and they run in forked worker processes, one per usable CPU: the
 calling process runs one share itself and each other share runs in a child.
 Results come back in seed order, bit-identical to running every trial in
-one process.  The call runs serially, in-process, when one worker is
-enough (one trial or one usable CPU), when ``os.fork`` does not exist, or
-when the caller has other Python threads, because forking a threaded
-process can deadlock.
+one process.  The call runs serially, in-process, where ``_workers`` allows
+one worker: one trial, one usable CPU, no ``os.fork``, or other Python
+threads.  ``_forked``, the one place that forks, also serves the CLI's CSV
+writer.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import pickle
 import signal
@@ -369,35 +370,77 @@ def _run_seeds(scenario: SystemScenario, config: ProtocolConfig, seeds) -> list[
     return results
 
 
-def _fork_worker(scenario: SystemScenario, config: ProtocolConfig, seeds):
-    """Run ``_run_seeds`` on ``seeds`` in a forked child.
+def _workers(tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks: one per usable CPU, at most one
+    per task, and one without ``os.fork`` or beside other Python threads
+    (forking a threaded process can deadlock)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(tasks, _usable_cpus())
 
-    Returns the child's pid and the read end of a pipe, as a binary file,
-    that carries ``pickle.dumps((ok, payload))``: the results, or the
-    exception raised (a ``RuntimeError`` with its ``repr`` when it does not
-    pickle).  The child never returns into the caller's stack.
+
+def _forked(work, workers: int, what: str, main):
+    """Run ``main(receive)`` in this process while forked children run
+    ``work(1)``, ..., ``work(workers - 1)``.
+
+    Child ``w`` sends each item of the iterable ``work(w)`` through its own
+    pipe as one frame, ``pickle.dumps((True, item))``, as soon as the item
+    is ready; an exception ends its stream with ``(False, exc)`` (a
+    ``RuntimeError`` with its ``repr`` when it does not pickle).
+    ``receive(w)`` returns child ``w``'s next item, or raises its exception
+    here; a child that ends before sending it raises ``RuntimeError``.  A
+    child never returns into the caller's stack, and every child has been
+    SIGKILLed and reaped when this returns or raises.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        os.close(read_fd)
+    children = {}  # w -> (pid, read end of its pipe), until the child is reaped
+
+    def receive(w):
+        pid, pipe = children[w]
         try:
-            data = pickle.dumps((True, _run_seeds(scenario, config, seeds)))
-        except BaseException as exc:  # raised again in the caller
+            ok, payload = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            _, status = os.waitpid(pid, 0)
+            children.pop(w)[1].close()
+            raise RuntimeError(
+                f"{what} worker {pid} ended without a result "
+                f"(exit status {os.waitstatus_to_exitcode(status)})"
+            ) from None
+        if not ok:
+            raise payload
+        return payload
+
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid:
+                os.close(write_fd)
+                children[w] = pid, os.fdopen(read_fd, "rb")
+                continue
+            status = 1
             try:
-                data = pickle.dumps((False, exc))
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((False, RuntimeError(repr(exc))))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    try:
+                        for item in work(w):
+                            pipe.write(pickle.dumps((True, item)))
+                            pipe.flush()
+                    except BaseException as exc:  # raised again in the caller
+                        try:
+                            data = pickle.dumps((False, exc))
+                            pickle.loads(data)
+                        except Exception:
+                            data = pickle.dumps((False, RuntimeError(repr(exc))))
+                        pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        main(receive)
     finally:
-        os._exit(status)
+        for pid, pipe in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def run_trials(
@@ -418,34 +461,15 @@ def run_trials(
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {trials})")
     seeds = range(config.seed, config.seed + trials)
-    workers = min(trials, _usable_cpus())
-    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return tuple(_run_seeds(scenario, config, seeds))
-    children = {}  # pid -> read end of its pipe, until the worker is reaped
+    workers = _workers(trials)
     results: list = [None] * trials
-    try:
-        for w in range(1, workers):
-            pid, pipe = _fork_worker(scenario, config, seeds[w::workers])
-            children[pid] = pipe
+
+    def merge(receive):
         results[0::workers] = _run_seeds(scenario, config, seeds[0::workers])
-        for w, (pid, pipe) in enumerate(list(children.items()), 1):
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(pid).close()
-            if not data:
-                raise RuntimeError(
-                    f"trial worker {pid} ended without a result "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            results[w::workers] = payload
-    finally:
-        for pid, pipe in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+        for w in range(1, workers):
+            results[w::workers] = receive(w)
+
+    _forked(lambda w: [_run_seeds(scenario, config, seeds[w::workers])], workers, "trial", merge)
     return tuple(results)
 
 
@@ -474,7 +498,7 @@ def run_protocol(
 
     def on_step(n, p_lo, p_hi, c):
         agent.append(n)
-        feedback.extend([p >= q for p, q in zip(p_work, p_min)])
+        feedback.extend(map(operator.ge, p_work, p_min))
         probes.extend((p_lo, p_work[n], p_hi))
         case.append(c)
         x_new.append(x[n])

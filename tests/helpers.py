@@ -1,7 +1,9 @@
+import os
 import struct
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mrc_wpt.centralized import check_feasibility, z_bracket
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
@@ -11,6 +13,12 @@ def rel(a, b) -> float:
     """Relative difference with the larger magnitude as scale."""
     scale = max(abs(a), abs(b))
     return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fig3_with_p3(fig3, p3):

@@ -2,16 +2,22 @@ import csv
 import hashlib
 import io
 import json
+import os
+import threading
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mrc_wpt import distributed
 from mrc_wpt.circuit import solve_closed_form
-from mrc_wpt.cli import main
+from mrc_wpt.cli import _BLOCK, _write_csv, main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
 from mrc_wpt.scenario_io import load_scenario, save_scenario
+
+from helpers import assert_no_child_left
 
 
 def read_output(path):
@@ -404,6 +410,120 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "unmet" in capsys.readouterr().err
+
+
+class TestParallelWriter:
+    """A body of two or more ``_BLOCK``s is formatted in forked workers; it
+    must be byte-equal to the one this process writes alone, and no worker
+    may outlive the writer."""
+
+    SWEEP_POINTS = 3 * _BLOCK + 17
+    TRACE_STEPS = 10_000
+
+    def sweep_args(self, out):
+        return ["sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                "--grid", f"0.1:100:{self.SWEEP_POINTS}", "--fixed", "x2=7.5,x3=7.5",
+                "--out", str(out)]
+
+    def trace_args(self, tmp_path, out):
+        return ["simulate", "--scenario", "paper-fig3", "--kmax", str(self.TRACE_STEPS),
+                "--seed", "5", "--trace", str(out), "--out", str(tmp_path / "s.csv")]
+
+    @staticmethod
+    def trace_body(scenario, trace):
+        """The csv.writer rendering of each recorded step, its powers from
+        ``solve_closed_form``."""
+        xs = list(trace.initial)
+        rows = []
+        for k, step in enumerate(trace.records, 1):
+            n = int(step["agent"])
+            xs[n] = float(step["x_new"])
+            report = solve_closed_form(scenario, xs)
+            bits = "".join(str(b) for b in step["feedback"])
+            rows.append([str(k), str(n + 1), bits, Case(step["case"]).name,
+                         *xs, report.p_tx, *report.p])
+        header = (["iter", "n", "fb_bits", "case"] + [f"x_{k + 1}" for k in range(scenario.n)]
+                  + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
+        return csv_body(header, rows)
+
+    @staticmethod
+    def write_on(cpus, args):
+        """Run ``main(args)`` with ``cpus`` usable CPUs; return how many
+        processes it forked."""
+        fork = os.fork
+        with mock.patch.object(distributed, "_usable_cpus", return_value=cpus), \
+                mock.patch.object(os, "fork", side_effect=fork) as forked:
+            assert main(args) == 0
+        assert_no_child_left()
+        return forked.call_count
+
+    def test_bodies_equal_serial_path(self, tmp_path, fig2, fig3):
+        grid = np.linspace(0.1, 100, self.SWEEP_POINTS)
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
+        assert len(trace.records) == self.TRACE_STEPS
+        oracles = {
+            "sweep": TestSweepCommand.expected_body(fig2, 1, grid, (None, 7.5, 7.5)),
+            "trace": self.trace_body(fig3, trace),
+        }
+        for name, oracle in oracles.items():
+            bodies = []
+            for cpus in (1, 2, 3):
+                out = tmp_path / f"{name}{cpus}.csv"
+                args = self.sweep_args(out) if name == "sweep" else self.trace_args(tmp_path, out)
+                assert self.write_on(cpus, args) == cpus - 1
+                bodies.append(raw_body(out))
+            assert bodies == [oracle] * 3
+
+    def test_threaded_caller_writes_serially(self, tmp_path):
+        serial = tmp_path / "serial.csv"
+        with mock.patch.object(distributed, "_usable_cpus", return_value=1):
+            assert main(self.sweep_args(serial)) == 0
+        out = tmp_path / "threaded.csv"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
+                    mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                assert main(self.sweep_args(out)) == 0
+        finally:
+            release.set()
+            thread.join()
+        assert raw_body(out) == raw_body(serial)
+
+    @staticmethod
+    def write_failing(path, fail):
+        """Write 3 blocks on two workers; formatting block 1, which the child
+        formats, calls ``fail(in_parent)``."""
+        parent = os.getpid()
+
+        def rows(a, b):
+            if a == _BLOCK:
+                fail(os.getpid() == parent)
+            return [(k,) for k in range(a, min(b, 3 * _BLOCK))]
+
+        with mock.patch.object(distributed, "_usable_cpus", return_value=2):
+            _write_csv(str(path), "# {}", ["k"], "%d", rows, 3 * _BLOCK)
+
+    def test_worker_exception_reaches_caller(self, tmp_path):
+        def fail(in_parent):
+            assert not in_parent
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="^boom$"):
+            self.write_failing(tmp_path / "out.csv", fail)
+        assert_no_child_left()
+
+    def test_dead_worker_raises(self, tmp_path):
+        def fail(in_parent):
+            if in_parent:
+                raise AssertionError("block 1 was formatted in the caller")
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match=r"^CSV worker \d+ ended without a result "
+                                               r"\(exit status 3\)$"):
+            self.write_failing(tmp_path / "out.csv", fail)
+        assert_no_child_left()
 
 
 class TestVerifyCommand:

@@ -33,7 +33,7 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
-from helpers import fig3_with_p3
+from helpers import assert_no_child_left, fig3_with_p3
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -481,11 +481,6 @@ def serial_trials(scenario, config, trials):
     """``run_trials`` on its serial path: every trial in this process."""
     with mock.patch.object(distributed, "_usable_cpus", return_value=1):
         return run_trials(scenario, config, trials)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelTrials:

@@ -19,10 +19,11 @@ tree.  After the pairs, each side runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 1`` once,
 with S the ``--seed``, parent first, for the per-layer metrics.
 
-The output file holds the environment (cores, Python, numpy, whether numba
-is importable), both sides' commit, the hash of their ``src`` tree and the
-line count of its ``src/mrc_wpt/*.py`` (as ``wc -l`` counts them), the
-median time of ``import mrc_wpt`` over 15 fresh processes per side
+The output file holds the environment (cores, the CPUs this process may
+run on, which set how many workers the package forks, Python, numpy,
+whether numba is importable), both sides' commit, the hash of their
+``src`` tree and the line count of its ``src/mrc_wpt/*.py`` (as ``wc -l``
+counts them), the median time of ``import mrc_wpt`` over 15 fresh processes per side
 (alternating between the sides, bytecode writing off, numpy imported
 first; import is most of the ``setup_s`` of the ``cli`` and ``protocol``
 workloads), the measured code (once the change is committed, ``git rev-parse HEAD:src``
@@ -195,6 +196,7 @@ def main(argv=None) -> int:
     record = {
         "environment": {
             "cores": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "numba_importable": importlib.util.find_spec("numba") is not None,
