@@ -6,7 +6,7 @@ version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  Long CSV bodies are formatted on every usable CPU, in
-forked workers, and written in order.
+the forked workers of ``distributed._in_order``, and written in order.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,10 +31,8 @@ from .distributed import (
     NoFeasibleTrialsError,
     ProtocolConfig,
     ProtocolTrace,
-    TrialResult,
-    _forked,
+    _in_order,
     _load_matrix,
-    _workers,
     run_protocol,
     run_trials,
     summarize,
@@ -73,14 +72,11 @@ def _write_csv(path: str, manifest: str, header: list[str], line: str, rows, cou
 
     No field needs quoting and lines end in CRLF, so the body is what
     ``csv.writer`` writes for the same fields.  Formatting the numbers costs
-    most, so forked workers, one per usable CPU, format ``_BLOCK``-row
-    blocks: worker ``w`` of ``W`` sends blocks ``w, w + W, ...`` as each is
-    ready, and this process formats worker 0's share and writes all in order.
-    A body of one block is written in-process.
+    most, so ``_in_order`` formats the ``_BLOCK``-row blocks on every usable
+    CPU, and they are written as they come, in order.  A body of one block is
+    written in-process.
     """
     line += "\r\n"
-    blocks = range(-(-count // _BLOCK))
-    workers = _workers(len(blocks))
 
     def block(b):
         return "".join([line % row for row in rows(b * _BLOCK, (b + 1) * _BLOCK)])
@@ -88,12 +84,8 @@ def _write_csv(path: str, manifest: str, header: list[str], line: str, rows, cou
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(manifest + "\n")
         fh.write(",".join(header) + "\r\n")
-
-        def write(receive):
-            for b in blocks:
-                fh.write(receive(b % workers) if b % workers else block(b))
-
-        _forked(lambda w: map(block, blocks[w::workers]), workers, "CSV", write)
+        with closing(_in_order(block, range(-(-count // _BLOCK)), "CSV")) as body:
+            fh.writelines(body)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -260,16 +252,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_csv(
             args.trace, manifest, header, line, _trace_rows(scenario, trace), len(trace.records)
         )
-        results = (
-            TrialResult(
-                config.seed,
-                trace.converged,
-                trace.feasible,
-                trace.iterations,
-                trace.final_report.p_tx,
-                trace.final,
-            ),
-        )
+        results = (trace.result,)
     if args.trials > len(results):
         rest = replace(config, seed=config.seed + len(results))
         results += run_trials(scenario, rest, args.trials - len(results))

@@ -18,9 +18,10 @@ A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
 Implementation note: the step is written twice.  ``_trial_engine`` is the
-one simulator of the protocol.  ``batch_run`` runs it bare and
-``run_protocol`` runs it with a step recorder that fills one structured
-array, the trace's ``records``, which ``simulate --trace`` writes out.
+one simulator of the protocol, and ``run_protocol`` runs it: bare, as for
+every trial of ``batch_run``, or with a step recorder that fills one
+structured array, the trace's ``records``, which ``simulate --trace``
+writes out.
 ``verify_trace`` is an independent array replay of the same step, and the
 tests compare the engine against it.  The engine's power expressions mirror
 operation for operation the one body of the closed form in ``circuit``,
@@ -34,13 +35,12 @@ Bare and recorded runs execute every step, so a trial's cost is its step
 count, whatever state the trial reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
-state, and they run in forked worker processes, one per usable CPU: the
-calling process runs one share itself and each other share runs in a child.
-Results come back in seed order, bit-identical to running every trial in
-one process.  The call runs serially, in-process, where ``_workers`` allows
-one worker: one trial, one usable CPU, no ``os.fork``, or other Python
-threads.  ``_forked``, the one place that forks, also serves the CLI's CSV
-writer.
+state.  ``run_trials`` maps ``run_protocol`` over their seeds through
+``_in_order``, the one place that forks, which also serves the CLI's CSV
+writer: it yields results in order, computed by forked workers, one per
+usable CPU, of which the calling process is one, and bit-identical to
+computing every item in one process.  It computes in-process where it
+cannot fork or where the caller has other Python threads.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import pickle
 import signal
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +156,18 @@ class ProtocolTrace:
     final: tuple[float, ...]
     final_report: PowerReport
 
+    @property
+    def result(self) -> TrialResult:
+        """The run's terminal outcome, as :func:`run_trials` reports it."""
+        return TrialResult(
+            self.config.seed,
+            self.converged,
+            self.feasible,
+            self.iterations,
+            self.final_report.p_tx,
+            self.final,
+        )
+
 
 class TrialResult(NamedTuple):
     """Terminal outcome of one batch trial."""
@@ -203,7 +215,7 @@ def _scenario_params(scenario: SystemScenario):
 
 
 def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
-    """Run one trial in place on ``x``.  Returns (converged, feasible, p_tx, steps).
+    """Run one trial in place on ``x``.  Returns (converged, feasible, steps).
 
     ``params`` comes from ``_scenario_params``.  When given, ``on_step(n,
     p_lo, p_hi, case)`` is called after each step has updated ``x[n]``,
@@ -326,7 +338,7 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
             n = 0
             s_n = r_tx
 
-    return converged, n_hungry == 0, half_v2 / r_in, steps
+    return converged, n_hungry == 0, steps
 
 
 def _load_matrix(initial, x_new) -> np.ndarray:
@@ -356,59 +368,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_seeds(scenario: SystemScenario, config: ProtocolConfig, seeds) -> list[TrialResult]:
-    """Outcomes of the trials of ``seeds``, one after another, in their order."""
-    params = _scenario_params(scenario)
-    p_work = [0.0] * scenario.n
-    results: list[TrialResult] = []
-    for seed in seeds:
-        x = list(draw_initial_loads(scenario, seed))
-        converged, feasible, p_tx, steps = _trial_engine(
-            params, x, p_work, config.dx, config.k_max
-        )
-        results.append(TrialResult(seed, converged, feasible, steps, p_tx, tuple(x)))
-    return results
+def _in_order(fn, items, what: str):
+    """Yield ``fn(item)`` for each of the sequence ``items``, in order.
 
-
-def _workers(tasks: int) -> int:
-    """Processes for ``tasks`` independent tasks: one per usable CPU, at most one
-    per task, and one without ``os.fork`` or beside other Python threads
-    (forking a threaded process can deadlock)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(tasks, _usable_cpus())
-
-
-def _forked(work, workers: int, what: str, main):
-    """Run ``main(receive)`` in this process while forked children run
-    ``work(1)``, ..., ``work(workers - 1)``.
-
-    Child ``w`` sends each item of the iterable ``work(w)`` through its own
-    pipe as one frame, ``pickle.dumps((True, item))``, as soon as the item
-    is ready; an exception ends its stream with ``(False, exc)`` (a
-    ``RuntimeError`` with its ``repr`` when it does not pickle).
-    ``receive(w)`` returns child ``w``'s next item, or raises its exception
-    here; a child that ends before sending it raises ``RuntimeError``.  A
-    child never returns into the caller's stack, and every child has been
-    SIGKILLed and reaped when this returns or raises.
+    The items are computed by one worker per usable CPU, at most one per
+    item: forked child ``w`` of ``W`` computes items ``w, w + W, ...`` and
+    sends each result through its own pipe as one frame, ``pickle.dumps((True,
+    result))``, as soon as it is ready; an exception ends its stream with
+    ``(False, exc)`` (a ``RuntimeError`` with its ``repr`` when it does not
+    pickle) and is raised here.  This process computes share 0 as it yields.
+    A child that ends before sending its next result raises ``RuntimeError``
+    naming ``what``.  A child never returns into the caller's stack, and
+    every child has been SIGKILLed and reaped once the generator finishes,
+    raises or is closed.  Without ``os.fork``, or beside other Python
+    threads (forking a threaded process can deadlock), every item is
+    computed in-process.
     """
+    workers = min(len(items), _usable_cpus())
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
     children = {}  # w -> (pid, read end of its pipe), until the child is reaped
-
-    def receive(w):
-        pid, pipe = children[w]
-        try:
-            ok, payload = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            _, status = os.waitpid(pid, 0)
-            children.pop(w)[1].close()
-            raise RuntimeError(
-                f"{what} worker {pid} ended without a result "
-                f"(exit status {os.waitstatus_to_exitcode(status)})"
-            ) from None
-        if not ok:
-            raise payload
-        return payload
-
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -422,8 +401,8 @@ def _forked(work, workers: int, what: str, main):
                 os.close(read_fd)
                 with os.fdopen(write_fd, "wb") as pipe:
                     try:
-                        for item in work(w):
-                            pipe.write(pickle.dumps((True, item)))
+                        for item in items[w::workers]:
+                            pipe.write(pickle.dumps((True, fn(item))))
                             pipe.flush()
                     except BaseException as exc:  # raised again in the caller
                         try:
@@ -435,7 +414,24 @@ def _forked(work, workers: int, what: str, main):
                 status = 0
             finally:
                 os._exit(status)
-        main(receive)
+        for i, item in enumerate(items):
+            w = i % workers
+            if not w:
+                yield fn(item)
+                continue
+            pid, pipe = children[w]
+            try:
+                ok, payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pid, 0)
+                children.pop(w)[1].close()
+                raise RuntimeError(
+                    f"{what} worker {pid} ended without a result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                ) from None
+            if not ok:
+                raise payload
+            yield payload
     finally:
         for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
@@ -448,29 +444,21 @@ def run_trials(
 ) -> tuple[TrialResult, ...]:
     """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording.
 
-    The trials run in forked workers, one per usable CPU and at most one
-    per trial: worker ``w`` of ``W`` takes every ``W``-th seed from the
-    ``w``-th, and the calling process runs worker 0's share itself.  The
-    results are in seed order and bit-identical to one process running
-    them all.  A single worker, a platform without ``os.fork`` or a caller
-    with other Python threads runs them serially in-process.  An exception
-    raised in a worker is raised here; a worker that ends without a result
-    raises ``RuntimeError``.  Every worker has ended when this returns or
-    raises.
+    Each outcome is that of ``run_protocol`` on its seed, and the trials run
+    through ``_in_order``: in forked workers, one per usable CPU and at most
+    one per trial, or in-process where it falls back.  The results are in
+    seed order and bit-identical to one process running them all.  An
+    exception raised in a worker is raised here; a worker that ends without
+    a result raises ``RuntimeError``.  Every worker has ended when this
+    returns or raises.
     """
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {trials})")
-    seeds = range(config.seed, config.seed + trials)
-    workers = _workers(trials)
-    results: list = [None] * trials
 
-    def merge(receive):
-        results[0::workers] = _run_seeds(scenario, config, seeds[0::workers])
-        for w in range(1, workers):
-            results[w::workers] = receive(w)
+    def trial(seed):
+        return run_protocol(scenario, replace(config, seed=seed), record=False).result
 
-    _forked(lambda w: [_run_seeds(scenario, config, seeds[w::workers])], workers, "trial", merge)
-    return tuple(results)
+    return tuple(_in_order(trial, range(config.seed, config.seed + trials), "trial"))
 
 
 def run_protocol(
@@ -503,7 +491,7 @@ def run_protocol(
         case.append(c)
         x_new.append(x[n])
 
-    converged, feasible, _, steps = _trial_engine(
+    converged, feasible, steps = _trial_engine(
         params, x, p_work, config.dx, config.k_max, on_step if record else None
     )
     records = np.empty(len(agent), _step_dtype(scenario.n))
@@ -550,13 +538,13 @@ def summarize(results) -> BatchSummary:
 def batch_run(
     scenario: SystemScenario, config: ProtocolConfig, trials: int
 ) -> BatchSummary:
-    """:func:`summarize` ``trials`` runs seeded ``seed, seed+1, ...``.
+    """:func:`summarize` the :func:`run_trials` of ``trials`` runs seeded
+    ``seed, seed+1, ...``.
 
     Each trial's outcome is that of ``run_protocol`` on its seed, without
-    recording.  The trials run through :func:`run_trials`, in forked
-    workers, one per usable CPU, or serially in-process where it falls
-    back; they are summarized in seed order, so the summary is
-    bit-identical to one process running them all.
+    recording, since ``run_trials`` runs it.  The trials are summarized in
+    seed order, so the summary is bit-identical to one process running them
+    all.
     """
     return summarize(run_trials(scenario, config, trials))
 

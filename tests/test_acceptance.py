@@ -8,7 +8,6 @@ the threshold as stated.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,23 +24,12 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_loads, random_scenario
 
-from helpers import dz_resolvable_instance, rel
+from helpers import dz_resolvable_instance, fig3_with_p3, rel
 from test_centralized import existence_oracle, grid_search_min_ptx
 from test_distributed import lone_receiver_scenario
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 FIG2_GRID = np.linspace(0.1, 100.0, 1000)  # 1e3 points over (0, 100]
-
-
-def fig3_with_demand(fig3, p3):
-    return replace(
-        fig3,
-        receivers=(
-            fig3.receivers[0],
-            fig3.receivers[1],
-            replace(fig3.receivers[2], p_min=float(p3)),
-        ),
-    )
 
 
 def test_c1_peak_reproduction(fig2):
@@ -211,7 +199,7 @@ def fig3_comparison(fig3):
     t0 = time.perf_counter()
     points = []
     for p3 in DEMAND_POINTS:
-        s = fig3_with_demand(fig3, p3)
+        s = fig3_with_p3(fig3, p3)
         opt = minimize_ptx(s)
         assert opt.is_optimal
         summary = batch_run(s, ProtocolConfig(**FIG3_CONFIG, seed=FIG3_SEED), trials=FIG3_TRIALS)
@@ -284,7 +272,7 @@ def test_c6_protocol_soundness(fig3):
 
     # Full-length comparison-scenario traces at the criterion's parameters.
     for p3, seed in ((50, FIG3_SEED), (25, FIG3_SEED + 5)):
-        s = fig3_with_demand(fig3, p3)
+        s = fig3_with_p3(fig3, p3)
         opt = minimize_ptx(s)
         trace = run_protocol(s, ProtocolConfig(dx=1e-3, k_max=100_000, seed=seed))
         violations = verify_trace(s, trace)

@@ -491,6 +491,19 @@ class TestParallelWriter:
             thread.join()
         assert raw_body(out) == raw_body(serial)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_fails_after_fork(self, capsys):
+        # The open succeeds and the first write fails, after the worker forked.
+        args = ["sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                "--grid", "0.1:100:50000", "--fixed", "x2=7.5,x3=7.5", "--out", "/dev/full"]
+        fork = os.fork
+        with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
+                mock.patch.object(os, "fork", side_effect=fork) as forked:
+            assert main(args) == 2
+        assert forked.call_count == 1
+        assert capsys.readouterr().err == "mrc-grid sweep: [Errno 28] No space left on device\n"
+        assert_no_child_left()
+
     @staticmethod
     def write_failing(path, fail):
         """Write 3 blocks on two workers; formatting block 1, which the child

@@ -580,6 +580,17 @@ class TestParallelTrials:
         assert_no_child_left()
 
 
+def test_in_order_closed_early_reaps_workers():
+    fork = os.fork
+    with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
+            mock.patch.object(os, "fork", side_effect=fork) as forked:
+        squares = distributed._in_order(lambda i: i * i, range(10), "test")
+        assert [next(squares), next(squares)] == [0, 1]
+        squares.close()
+    assert forked.call_count == 1
+    assert_no_child_left()
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ScenarioError):

@@ -30,10 +30,14 @@ workloads), the measured code (once the change is committed, ``git rev-parse HEA
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
-metrics from its traced run, and each side's CPU seconds per run: user plus
-system time of the benchmark process and every process it forked and waited
-for, read from ``RUSAGE_CHILDREN`` around the run, so work moved to worker
-processes stays counted.  With ``--tier1`` it also runs
+metrics from its traced run.  Each run is started with ``subprocess.Popen``
+and reaped with ``os.wait4``, whose resource usage covers the benchmark
+process and every process it forked and waited for, so work and memory
+moved to worker processes stay counted: per run, ``cpu_s`` is their user
+plus system time and ``tree_peak_rss_mb`` the largest peak resident set
+of any of them (``ru_maxrss``, KiB on Linux, in the 10^6-byte megabytes of
+the benchmark's own ``peak_rss_mb``, which reads ``RUSAGE_SELF`` and does
+not see its workers).  With ``--tier1`` it also runs
 the Tier-1 suite once on the working tree and records its wall time and
 summary line; the full pytest output goes to ``.bench_out/tier1.log``.
 
@@ -49,7 +53,6 @@ import importlib.util
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -106,23 +109,24 @@ def import_ms(trees: dict[str, Path]) -> dict[str, float]:
     return {side: round(statistics.median(ms), 2) for side, ms in times.items()}
 
 
-def cpu_s_of_children() -> float:
-    """User plus system seconds of every child process waited for so far."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """The result line of one benchmark run in ``tree``."""
+    """The result line of one benchmark run in ``tree``, with the ``cpu_s``
+    and ``tree_peak_rss_mb`` of the run's own process tree."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    before = cpu_s_of_children()
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=bench_env())
-    cpu_s = cpu_s_of_children() - before
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
-    return json.loads(lines[-1]) | {"cpu_s": cpu_s}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=tree, stdout=out, stderr=err, env=bench_env())
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        lines = out.read().decode().strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{err.read().decode()}")
+    return json.loads(lines[-1]) | {
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "tree_peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -155,6 +159,9 @@ def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "cpu_s": {side: spread([r["cpu_s"] for r in rs]) for side, rs in runs.items()},
+        "tree_peak_rss_mb": {
+            side: spread([r["tree_peak_rss_mb"] for r in rs]) for side, rs in runs.items()
+        },
     }
 
 
@@ -238,7 +245,9 @@ def main(argv=None) -> int:
                     runs[side].append(result)
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i + 1}/{PAIRS} {side}: wall_s {wall:.3f}, "
-                          f"cpu_s {result['cpu_s']:.3f}", file=sys.stderr, flush=True)
+                          f"cpu_s {result['cpu_s']:.3f}, "
+                          f"tree_peak_rss_mb {result['tree_peak_rss_mb']:.1f}",
+                          file=sys.stderr, flush=True)
             record["workloads"][workload] = summarize(spec, runs)
             traced = {side: run_bench(trees[side], workload, args.seed, seconds, trace=1)
                       for side in ("parent", "change")}
