@@ -5,8 +5,9 @@ manifest (subcommand, scenario, resolved parameters, output paths, tool
 version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
-a property failed).  Long CSV bodies are formatted on every usable CPU, in
-the forked workers of ``distributed._in_order``, and written in order.
+a property failed).  CSV bodies are formatted in numpy arrays, a block of
+rows at a time; ``simulate`` writes its trace while forked workers run its
+other trials.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .distributed import (
     Case,
     NoFeasibleTrialsError,
     ProtocolConfig,
-    ProtocolTrace,
     _in_order,
     _load_matrix,
     run_protocol,
-    run_trials,
     summarize,
 )
 from .scenario_io import load_scenario
@@ -42,9 +40,18 @@ from .verify import run_verification
 
 __all__ = ["main"]
 
-# Rows per block of a CSV body, the unit that one worker formats at once;
-# it bounds the temporary objects of a long body.
-_BLOCK = 4096
+# Rows per block of a CSV body, the unit that is formatted at once; it bounds
+# the temporary arrays of a long body.
+_BLOCK = 8192
+
+# Tables of the double formatter: 10**s for the scale exponents s, then the
+# bytes of the 4-digit groups "0000" to "9999", of "  d." for a leading digit
+# d and of "e-06" to "e+15", each 4-byte text read as one uint32.
+_POW10 = 10.0 ** np.arange(23)
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_LEAD = np.array([b"  %d." % d for d in range(10)]).view(np.uint32)
+_EXPONENT = np.array([b"e%+03d" % e for e in range(-6, 16)]).view(np.uint32)
 
 
 def _manifest_line(subcommand: str, scenario: str, parameters: dict, outputs) -> str:
@@ -60,32 +67,85 @@ def _manifest_line(subcommand: str, scenario: str, parameters: dict, outputs) ->
     return "# " + json.dumps(payload, sort_keys=True)
 
 
-def _floats(count: int) -> str:
-    """Line format of ``count`` floats, each with 17 significant decimal
-    digits, which round-trips doubles exactly."""
-    return ",".join(["%.16e"] * count)
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
 
 
-def _write_csv(path: str, manifest: str, header: list[str], line: str, rows, count: int) -> None:
-    """Write the ``manifest`` line, the header, then ``line % row`` for each
-    of the ``count`` rows, where ``rows(a, b)`` gives rows ``a`` to ``b - 1``.
+def _format_doubles(x: np.ndarray) -> np.ndarray:
+    """``b"%.16e" % v`` for every element ``v`` of ``x``, as an ``S24`` array.
+
+    Every finite ``|v|`` in (1e-6, 1e16) has the decimal exponent ``E`` in
+    [-6, 15], so ``10**(16 - E)`` is an exact double and Dekker's exact
+    product (Numer. Math. 18, 1971) gives ``|v| * 10**(16 - E) = hi + lo``
+    without error.  Its 17 digits are ``N = hi + rint(lo)``, rounded half to
+    even as ``%`` rounds, because ``hi`` is an even integer there.  ``E``
+    comes from ``log10``.  Where that is off by one (next to a power of
+    ten), where ``N`` rounds up to ``10**17``, and for every other value
+    (zero, subnormal, inf, nan, out of range) the element is formatted with
+    ``%`` instead, so every element is exact.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    fast = np.flatnonzero((a > 1e-6) & (a < 1e16))
+    a = a[fast]
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 15)
+    b = _POW10[16 - e]
+    hi = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact = ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (n < 10**17)
+    fast, e, n = fast[exact], e[exact], n[exact]
+    lead, n = np.divmod(n, 10**16)
+    high, low = np.divmod(n, 10**8)
+    words = np.empty((len(fast), 6), np.uint32)
+    words[:, 0] = _LEAD[lead]
+    words[:, 1:3] = _DIGITS[np.stack(np.divmod(high.astype(np.uint32), np.uint32(10**4)), 1)]
+    words[:, 3:5] = _DIGITS[np.stack(np.divmod(low.astype(np.uint32), np.uint32(10**4)), 1)]
+    words[:, 5] = _EXPONENT[e + 6]
+    text = words.view(np.uint8)[:, 2:]
+    out = np.zeros((len(x), 24), np.uint8)
+    out[fast, :22] = text
+    neg = x[fast] < 0
+    out[fast[neg], 0] = ord("-")
+    out[fast[neg], 1:23] = text[neg]
+    slow = np.flatnonzero(out[:, 0] == 0)
+    out = out.view("S24").ravel()
+    for k in slow.tolist():
+        out[k] = b"%.16e" % x[k]
+    return out
+
+
+def _write_csv(path: str, manifest: str, header: list[str], columns) -> None:
+    """Write the ``manifest`` line, the header, then one row per element of
+    the equal-length ``columns``: doubles as ``%.16e`` (17 significant
+    digits, which round-trip), integers in decimal and bytes as they are.
+    A scalar is a column of one row.
 
     No field needs quoting and lines end in CRLF, so the body is what
-    ``csv.writer`` writes for the same fields.  Formatting the numbers costs
-    most, so ``_in_order`` formats the ``_BLOCK``-row blocks on every usable
-    CPU, and they are written as they come, in order.  A body of one block is
-    written in-process.
+    ``csv.writer`` writes for the same fields.  Rows are formatted and
+    written ``_BLOCK`` at a time, each field as a fixed-width byte column
+    whose padding is dropped when the block's fields are joined.
     """
-    line += "\r\n"
-
-    def block(b):
-        return "".join([line % row for row in rows(b * _BLOCK, (b + 1) * _BLOCK)])
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest + "\n")
-        fh.write(",".join(header) + "\r\n")
-        with closing(_in_order(block, range(-(-count // _BLOCK)), "CSV")) as body:
-            fh.writelines(body)
+    columns = [np.atleast_1d(c) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write(f"{manifest}\n{','.join(header)}\r\n".encode())
+        for start in range(0, len(columns[0]), _BLOCK):
+            parts = []
+            for c in columns:
+                c = c[start:start + _BLOCK]
+                if c.dtype.kind == "f":
+                    c = _format_doubles(c)
+                elif c.dtype.kind != "S":
+                    c = c.astype("S20")
+                comma = np.full((len(c), 1), ord(","), np.uint8)
+                parts += [c.view(np.uint8).reshape(len(c), -1), comma]
+            lines = np.hstack(parts + [comma])
+            lines[:, -2:] = (ord("\r"), ord("\n"))
+            fh.write(lines[lines != 0].tobytes())
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -166,15 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (args.out,),
     )
     header = [f"x_{args.receiver}", "p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)] + ["p_sum"]
-    table = np.column_stack((grid, powers.p_tx, powers.p, powers.p_sum))
-    _write_csv(
-        args.out,
-        manifest,
-        header,
-        _floats(scenario.n + 3),
-        lambda a, b: map(tuple, table[a:b].tolist()),
-        len(table),
-    )
+    _write_csv(args.out, manifest, header, (grid, powers.p_tx, *powers.p.T, powers.p_sum))
     return 0
 
 
@@ -188,40 +240,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         + [f"p_{k + 1}" for k in range(scenario.n)]
     )
     if result.is_optimal:
-        line = "optimal," + _floats(2 + 2 * scenario.n)
-        row = (result.z_star, result.report.p_tx, *result.loads, *result.report.p)
+        row = (b"optimal", result.z_star, result.report.p_tx, *result.loads, *result.report.p)
     else:
-        line, row = "infeasible" + "," * (2 + 2 * scenario.n), ()
-    _write_csv(args.out, manifest, header, line, lambda a, b: [row], 1)
+        row = (b"infeasible",) + (b"",) * (2 + 2 * scenario.n)
+    _write_csv(args.out, manifest, header, row)
     if not result.is_optimal:
         print(
             f"optimize: no feasible load setting ({result.iterations} candidates examined)",
             file=sys.stderr,
         )
     return 0
-
-
-def _trace_rows(scenario, trace: ProtocolTrace):
-    """``rows(a, b)``: one CSV row per recorded step ``a + 1`` to ``b``, its fields, then
-    the loads after it and their powers, which one array-kernel call gives."""
-    records = trace.records
-    loads = _load_matrix(trace.initial, records["x_new"])[1:]
-    powers = closed_form_arrays(scenario, loads)
-    numbers = np.hstack((loads, powers.p_tx[:, None], powers.p))
-    bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
-    names = {case.value: case.name for case in Case}
-
-    def rows(a, b):
-        for k, n, fb, case, values in zip(
-            range(a + 1, b + 1),
-            records["agent"][a:b].tolist(),
-            bits[a:b, 0].astype(str).tolist(),
-            records["case"][a:b].tolist(),
-            numbers[a:b].tolist(),
-        ):
-            yield (k, n + 1, fb, names[case], *values)
-
-    return rows
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -238,24 +266,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outputs = (args.out,) + ((args.trace,) if args.trace else ())
     manifest = _manifest_line("simulate", str(args.scenario), parameters, outputs)
 
-    results: tuple = ()
-    if args.trace:
-        # The traced run is trial 1; the untraced trials follow it.
-        trace = run_protocol(scenario, config, record=True)
-        header = (
-            ["iter", "n", "fb_bits", "case"]
-            + [f"x_{k + 1}" for k in range(scenario.n)]
-            + ["p_tx"]
-            + [f"p_{k + 1}" for k in range(scenario.n)]
-        )
-        line = "%d,%d,%s,%s," + _floats(2 * scenario.n + 1)
-        _write_csv(
-            args.trace, manifest, header, line, _trace_rows(scenario, trace), len(trace.records)
-        )
-        results = (trace.result,)
-    if args.trials > len(results):
-        rest = replace(config, seed=config.seed + len(results))
-        results += run_trials(scenario, rest, args.trials - len(results))
+    def trial(k):
+        recorded = k == 0 and bool(args.trace)
+        return run_protocol(scenario, replace(config, seed=config.seed + k), record=recorded)
+
+    # Trial 0, the traced one, runs in this process, which writes its trace
+    # while forked workers run the others.
+    with closing(_in_order(trial, range(args.trials))) as runs:
+        first = next(runs)
+        if args.trace:
+            header = (
+                ["iter", "n", "fb_bits", "case"]
+                + [f"x_{k + 1}" for k in range(scenario.n)]
+                + ["p_tx"]
+                + [f"p_{k + 1}" for k in range(scenario.n)]
+            )
+            records = first.records
+            loads = _load_matrix(first.initial, records["x_new"])[1:]
+            powers = closed_form_arrays(scenario, loads)
+            bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
+            names = np.array([case.name for case in Case], "S")  # Case values are 1, 2, ...
+            columns = (np.arange(1, len(records) + 1), records["agent"] + 1, bits.ravel(),
+                       names[records["case"] - 1], *loads.T, powers.p_tx, *powers.p.T)
+            _write_csv(args.trace, manifest, header, columns)
+        results = [run.result for run in (first, *runs)]
 
     try:
         summary = summarize(results)
@@ -267,9 +301,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.out,
         manifest,
         ["trials", "n_feasible", "n_infeasible", "n_converged", "mean_ptx_feasible"],
-        "%d,%d,%d,%d,%.16e",
-        lambda a, b: [summary[:5]],
-        1,
+        summary[:5],
     )
     return 0
 

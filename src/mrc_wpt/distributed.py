@@ -19,9 +19,9 @@ steps take C5 (one full silent round).
 
 Implementation note: the step is written twice.  ``_trial_engine`` is the
 one simulator of the protocol, and ``run_protocol`` runs it: bare, as for
-every trial of ``batch_run``, or with a step recorder that fills one
-structured array, the trace's ``records``, which ``simulate --trace``
-writes out.
+every trial of ``batch_run``, or with a step recorder that appends one
+tuple of doubles per step to a flat buffer, from which the trace's
+``records`` array is built once, and which ``simulate --trace`` writes out.
 ``verify_trace`` is an independent array replay of the same step, and the
 tests compare the engine against it.  The engine's power expressions mirror
 operation for operation the one body of the closed form in ``circuit``,
@@ -36,10 +36,10 @@ count, whatever state the trial reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, the one place that forks, which also serves the CLI's CSV
-writer: it yields results in order, computed by forked workers, one per
-usable CPU, of which the calling process is one, and bit-identical to
-computing every item in one process.  It computes in-process where it
+``_in_order``, the one place that forks, as does ``simulate --trace`` with
+trial 0 recorded: it yields results in order, computed by forked workers,
+one per usable CPU, of which the calling process is one, and bit-identical
+to computing every item in one process.  It computes in-process where it
 cannot fork or where the caller has other Python threads.
 """
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import os
 import pickle
 import signal
@@ -217,10 +216,11 @@ def _scenario_params(scenario: SystemScenario):
 def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     """Run one trial in place on ``x``.  Returns (converged, feasible, steps).
 
-    ``params`` comes from ``_scenario_params``.  When given, ``on_step(n,
-    p_lo, p_hi, case)`` is called after each step has updated ``x[n]``,
-    while ``p_work`` still holds the powers the step started from.  On
-    return ``p_work`` holds the powers at the final loads.
+    ``params`` comes from ``_scenario_params``.  When given, ``on_step`` is
+    called after each step with the tuple ``(n, p_lo, p_hi, case, x[n],
+    *p_work)``: the step's receiver, probes and case, the load it left and
+    the powers it started from.  On return ``p_work`` holds the powers at
+    the final loads.
 
     Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
     share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
@@ -314,7 +314,7 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
                 x[n] = x_min[n]
 
         if on_step is not None:
-            on_step(n, p_lo, p_hi, case)
+            on_step((n, p_lo, p_hi, case, x[n], *p_work))
 
         if case == 5:
             trailing_c5 += 1
@@ -368,7 +368,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(fn, items, what: str):
+def _in_order(fn, items):
     """Yield ``fn(item)`` for each of the sequence ``items``, in order.
 
     The items are computed by one worker per usable CPU, at most one per
@@ -377,12 +377,11 @@ def _in_order(fn, items, what: str):
     result))``, as soon as it is ready; an exception ends its stream with
     ``(False, exc)`` (a ``RuntimeError`` with its ``repr`` when it does not
     pickle) and is raised here.  This process computes share 0 as it yields.
-    A child that ends before sending its next result raises ``RuntimeError``
-    naming ``what``.  A child never returns into the caller's stack, and
-    every child has been SIGKILLed and reaped once the generator finishes,
-    raises or is closed.  Without ``os.fork``, or beside other Python
-    threads (forking a threaded process can deadlock), every item is
-    computed in-process.
+    A child that ends before sending its next result raises ``RuntimeError``.
+    A child never returns into the caller's stack, and every child has been
+    SIGKILLed and reaped once the generator finishes, raises or is closed.
+    Without ``os.fork``, or beside other Python threads (forking a threaded
+    process can deadlock), every item is computed in-process.
     """
     workers = min(len(items), _usable_cpus())
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -426,7 +425,7 @@ def _in_order(fn, items, what: str):
                 _, status = os.waitpid(pid, 0)
                 children.pop(w)[1].close()
                 raise RuntimeError(
-                    f"{what} worker {pid} ended without a result "
+                    f"trial worker {pid} ended without a result "
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 ) from None
             if not ok:
@@ -458,7 +457,7 @@ def run_trials(
     def trial(seed):
         return run_protocol(scenario, replace(config, seed=seed), record=False).result
 
-    return tuple(_in_order(trial, range(config.seed, config.seed + trials), "trial"))
+    return tuple(_in_order(trial, range(config.seed, config.seed + trials)))
 
 
 def run_protocol(
@@ -474,32 +473,26 @@ def run_protocol(
     the trace are populated.
     """
     params = _scenario_params(scenario)
-    p_min = params[-1]
     initial = draw_initial_loads(scenario, config.seed)
     x = list(initial)
     p_work = [0.0] * scenario.n
-    # One flat typed buffer per column, so that no Python object is kept per
-    # step; the records array is built from them once, at the end.
-    agent, feedback, probes, case, x_new = (
-        array("q"), array("B"), array("d"), array("b"), array("d")
-    )
-
-    def on_step(n, p_lo, p_hi, c):
-        agent.append(n)
-        feedback.extend(map(operator.ge, p_work, p_min))
-        probes.extend((p_lo, p_work[n], p_hi))
-        case.append(c)
-        x_new.append(x[n])
-
+    # Each step's tuple goes into one flat buffer, so that no Python object
+    # is kept per step; the records array is built from it once, at the end.
+    buffer = array("d")
     converged, feasible, steps = _trial_engine(
-        params, x, p_work, config.dx, config.k_max, on_step if record else None
+        params, x, p_work, config.dx, config.k_max, buffer.extend if record else None
     )
-    records = np.empty(len(agent), _step_dtype(scenario.n))
+    table = np.frombuffer(buffer).reshape(-1, 5 + scenario.n)
+    agent = table[:, 0].astype(np.intp)
+    powers = table[:, 5:]
+    records = np.empty(len(table), _step_dtype(scenario.n))
     records["agent"] = agent
-    records["feedback"] = np.reshape(feedback, (-1, scenario.n))
-    records["probes"] = np.reshape(probes, (-1, 3))
-    records["case"] = case
-    records["x_new"] = x_new
+    records["feedback"] = powers >= np.array(params[-1])
+    records["probes"] = np.stack(
+        (table[:, 1], powers[np.arange(len(table)), agent], table[:, 2]), axis=1
+    )
+    records["case"] = table[:, 3]
+    records["x_new"] = table[:, 4]
     return ProtocolTrace(
         config=config,
         initial=initial,

@@ -10,10 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mrc_wpt import distributed
+from mrc_wpt import cli, distributed
 from mrc_wpt.circuit import solve_closed_form
-from mrc_wpt.cli import _BLOCK, _write_csv, main
+from mrc_wpt.cli import _format_doubles, main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
@@ -413,11 +415,13 @@ class TestSimulateCommand:
 
 
 class TestParallelWriter:
-    """A body of two or more ``_BLOCK``s is formatted in forked workers; it
-    must be byte-equal to the one this process writes alone, and no worker
-    may outlive the writer."""
+    """A body of two or more ``_BLOCK``s is formatted block by block in this
+    process; it must equal the ``csv.writer`` oracle.  ``simulate --trace``
+    writes trial 0's trace while forked workers run the other trials; a
+    worker's failure reaches the caller, and no worker may outlive it."""
 
-    SWEEP_POINTS = 3 * _BLOCK + 17
+    BLOCK = 1000
+    SWEEP_POINTS = 3 * BLOCK + 17
     TRACE_STEPS = 10_000
 
     def sweep_args(self, out):
@@ -425,9 +429,10 @@ class TestParallelWriter:
                 "--grid", f"0.1:100:{self.SWEEP_POINTS}", "--fixed", "x2=7.5,x3=7.5",
                 "--out", str(out)]
 
-    def trace_args(self, tmp_path, out):
+    def trace_args(self, tmp_path, out, trials=3):
         return ["simulate", "--scenario", "paper-fig3", "--kmax", str(self.TRACE_STEPS),
-                "--seed", "5", "--trace", str(out), "--out", str(tmp_path / "s.csv")]
+                "--seed", "5", "--trials", str(trials), "--trace", str(out),
+                "--out", str(tmp_path / "s.csv")]
 
     @staticmethod
     def trace_body(scenario, trace):
@@ -446,12 +451,12 @@ class TestParallelWriter:
                   + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
         return csv_body(header, rows)
 
-    @staticmethod
-    def write_on(cpus, args):
-        """Run ``main(args)`` with ``cpus`` usable CPUs; return how many
-        processes it forked."""
+    def write_on(self, cpus, args):
+        """Run ``main(args)`` with ``cpus`` usable CPUs and ``BLOCK``-row
+        blocks; return how many processes it forked."""
         fork = os.fork
-        with mock.patch.object(distributed, "_usable_cpus", return_value=cpus), \
+        with mock.patch.object(cli, "_BLOCK", self.BLOCK), \
+                mock.patch.object(distributed, "_usable_cpus", return_value=cpus), \
                 mock.patch.object(os, "fork", side_effect=fork) as forked:
             assert main(args) == 0
         assert_no_child_left()
@@ -461,23 +466,24 @@ class TestParallelWriter:
         grid = np.linspace(0.1, 100, self.SWEEP_POINTS)
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
         assert len(trace.records) == self.TRACE_STEPS
-        oracles = {
-            "sweep": TestSweepCommand.expected_body(fig2, 1, grid, (None, 7.5, 7.5)),
-            "trace": self.trace_body(fig3, trace),
-        }
-        for name, oracle in oracles.items():
-            bodies = []
-            for cpus in (1, 2, 3):
-                out = tmp_path / f"{name}{cpus}.csv"
-                args = self.sweep_args(out) if name == "sweep" else self.trace_args(tmp_path, out)
-                assert self.write_on(cpus, args) == cpus - 1
-                bodies.append(raw_body(out))
-            assert bodies == [oracle] * 3
+        sweep_oracle = TestSweepCommand.expected_body(fig2, 1, grid, (None, 7.5, 7.5))
+        trace_oracle = self.trace_body(fig3, trace)
+        summaries = set()
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"sweep{cpus}.csv"
+            assert self.write_on(cpus, self.sweep_args(out)) == 0
+            assert raw_body(out) == sweep_oracle
+            out = tmp_path / f"trace{cpus}.csv"
+            # Trials 1 and 2 run in cpus - 1 workers.
+            assert self.write_on(cpus, self.trace_args(tmp_path, out)) == cpus - 1
+            assert raw_body(out) == trace_oracle
+            summaries.add(raw_body(tmp_path / "s.csv"))
+        assert len(summaries) == 1
 
     def test_threaded_caller_writes_serially(self, tmp_path):
         serial = tmp_path / "serial.csv"
         with mock.patch.object(distributed, "_usable_cpus", return_value=1):
-            assert main(self.sweep_args(serial)) == 0
+            assert main(self.trace_args(tmp_path, serial)) == 0
         out = tmp_path / "threaded.csv"
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -485,58 +491,137 @@ class TestParallelWriter:
         try:
             with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
                     mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-                assert main(self.sweep_args(out)) == 0
+                assert main(self.trace_args(tmp_path, out)) == 0
         finally:
             release.set()
             thread.join()
         assert raw_body(out) == raw_body(serial)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_device_fails_after_fork(self, capsys):
-        # The open succeeds and the first write fails, after the worker forked.
-        args = ["sweep", "--scenario", "paper-fig2", "--receiver", "1",
-                "--grid", "0.1:100:50000", "--fixed", "x2=7.5,x3=7.5", "--out", "/dev/full"]
+    def test_full_device_fails_after_fork(self, tmp_path, capsys):
+        # The open succeeds and the first write fails: for the trace, after
+        # the worker of trial 1 forked.
+        sweep = ["sweep", "--scenario", "paper-fig2", "--receiver", "1",
+                 "--grid", "0.1:100:50000", "--fixed", "x2=7.5,x3=7.5", "--out", "/dev/full"]
+        assert main(sweep) == 2
+        assert capsys.readouterr().err == "mrc-grid sweep: [Errno 28] No space left on device\n"
         fork = os.fork
         with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
                 mock.patch.object(os, "fork", side_effect=fork) as forked:
-            assert main(args) == 2
+            assert main(self.trace_args(tmp_path, "/dev/full", trials=2)) == 2
         assert forked.call_count == 1
-        assert capsys.readouterr().err == "mrc-grid sweep: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == (
+            "mrc-grid simulate: [Errno 28] No space left on device\n"
+        )
         assert_no_child_left()
 
-    @staticmethod
-    def write_failing(path, fail):
-        """Write 3 blocks on two workers; formatting block 1, which the child
-        formats, calls ``fail(in_parent)``."""
+    def simulate_failing(self, tmp_path, fig3, fail):
+        """``simulate --trials 2 --trace`` on two workers; the engine calls
+        ``fail(in_parent)`` on trial 1, which the child runs."""
+        engine = distributed._trial_engine
+        loads = list(distributed.draw_initial_loads(fig3, 6))
         parent = os.getpid()
 
-        def rows(a, b):
-            if a == _BLOCK:
+        def fake(params, x, *args):
+            if x == loads:
                 fail(os.getpid() == parent)
-            return [(k,) for k in range(a, min(b, 3 * _BLOCK))]
+            return engine(params, x, *args)
 
-        with mock.patch.object(distributed, "_usable_cpus", return_value=2):
-            _write_csv(str(path), "# {}", ["k"], "%d", rows, 3 * _BLOCK)
+        out = tmp_path / "t.csv"
+        try:
+            with mock.patch.object(distributed, "_trial_engine", fake), \
+                    mock.patch.object(distributed, "_usable_cpus", return_value=2):
+                main(self.trace_args(tmp_path, out, trials=2))
+        finally:
+            # The trace was written before trial 1's result was awaited.
+            assert len(raw_body(out).splitlines()) == 1 + self.TRACE_STEPS
 
-    def test_worker_exception_reaches_caller(self, tmp_path):
+    def test_worker_exception_reaches_caller(self, tmp_path, fig3):
         def fail(in_parent):
             assert not in_parent
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="^boom$"):
-            self.write_failing(tmp_path / "out.csv", fail)
+            self.simulate_failing(tmp_path, fig3, fail)
         assert_no_child_left()
 
-    def test_dead_worker_raises(self, tmp_path):
+    def test_dead_worker_raises(self, tmp_path, fig3):
         def fail(in_parent):
             if in_parent:
-                raise AssertionError("block 1 was formatted in the caller")
+                raise AssertionError("trial 1 ran in the caller")
             os._exit(3)
 
-        with pytest.raises(RuntimeError, match=r"^CSV worker \d+ ended without a result "
+        with pytest.raises(RuntimeError, match=r"^trial worker \d+ ended without a result "
                                                r"\(exit status 3\)$"):
-            self.write_failing(tmp_path / "out.csv", fail)
+            self.simulate_failing(tmp_path, fig3, fail)
         assert_no_child_left()
+
+
+def percent_e(values):
+    """``b"%.16e" % v`` for each of ``values``, the kernel's reference."""
+    return [b"%.16e" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+class TestFormatDoubles:
+    """``_format_doubles`` gives the bytes of ``%.16e`` for every double."""
+
+    @staticmethod
+    def assert_formats(values):
+        values = np.asarray(values, dtype=np.float64)
+        with np.errstate(all="raise"):
+            text = _format_doubles(values)
+        assert text.dtype == np.dtype("S24")
+        assert text.tolist() == percent_e(values)
+
+    def test_uniform(self):
+        self.assert_formats(np.random.default_rng(1).uniform(0.01, 100, 100_000))
+
+    def test_log_uniform_both_signs(self):
+        rng = np.random.default_rng(2)
+        magnitudes = np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 100_000))
+        self.assert_formats(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
+
+    def test_bit_patterns(self):
+        # Random patterns are mostly far outside the fast path's range;
+        # subnormals, signed zeros, infinities and nan are added.
+        bits = np.random.default_rng(3).integers(0, 2**64, 100_000, dtype=np.uint64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
+                   np.finfo(float).max, -np.finfo(float).max]
+        self.assert_formats(np.concatenate((bits.view(np.float64), special)))
+
+    def test_powers_of_ten_and_edges(self):
+        powers = 10.0 ** np.arange(-12, 23)
+        below = np.nextafter(powers, 0)
+        above = np.nextafter(powers, np.inf)
+        edges = [1e-6, 1e16, np.nextafter(1e-6, 1), np.nextafter(1e16, 0),
+                 9.99999999999999999e5, np.nextafter(1e6, 0)]
+        values = np.concatenate((powers, below, np.nextafter(below, 0), above, edges))
+        self.assert_formats(np.concatenate((values, -values)))
+
+    def test_exact_ties(self):
+        # t / 2**(s + 1) times 10**s is t * 5**s / 2, half an odd integer:
+        # a tie between two 17-digit decimals, which %.16e rounds to even.
+        rng = np.random.default_rng(4)
+        ties = []
+        for s in range(1, 23):
+            lowest, highest = 2 * 10**16 // 5**s + 1, min(2 * 10**17 // 5**s, 2**53)
+            t = rng.integers(lowest, highest, 2000) | 1
+            ties.append(t.astype(np.float64) / 2.0 ** (s + 1))
+        self.assert_formats(np.concatenate(ties))
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_exponent_estimate_off_by_one(self, shift):
+        # Whatever log10 returns next to a power of ten, an exponent estimate
+        # that is off by one sends the value to the exact fallback.
+        log10 = np.log10
+        values = np.random.default_rng(5).uniform(0.01, 100, 1000)
+        with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
+            self.assert_formats(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    def test_any_double(self, values):
+        self.assert_formats(values)
 
 
 class TestVerifyCommand:

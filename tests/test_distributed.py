@@ -242,7 +242,8 @@ class TestRunProtocol:
             before = list(x)
             moves = []
 
-            def spy(n, p_lo, p_hi, case):
+            def spy(step):
+                n = step[0]
                 changed = [k for k in range(len(x)) if x[k] != before[k]]
                 assert changed in ([], [n])
                 moves.extend(changed)
@@ -584,7 +585,7 @@ def test_in_order_closed_early_reaps_workers():
     fork = os.fork
     with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
             mock.patch.object(os, "fork", side_effect=fork) as forked:
-        squares = distributed._in_order(lambda i: i * i, range(10), "test")
+        squares = distributed._in_order(lambda i: i * i, range(10))
         assert [next(squares), next(squares)] == [0, 1]
         squares.close()
     assert forked.call_count == 1

@@ -17,7 +17,9 @@ even pairs and the change first in odd ones.  Pair i uses seed
 ``--seed + i`` on both sides.  Each side runs the benchmark code of its own
 tree.  After the pairs, each side runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 1`` once,
-with S the ``--seed``, parent first, for the per-layer metrics.
+with S the ``--seed``, for the per-layer metrics: the parent first for the
+even workloads in ``BENCHMARK.json`` order and the change first for the odd
+ones, so that no side always runs first.
 
 The output file holds the environment (cores, the CPUs this process may
 run on, which set how many workers the package forks, Python, numpy,
@@ -30,8 +32,9 @@ workloads), the measured code (once the change is committed, ``git rev-parse HEA
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
-metrics from its traced run.  Each run is started with ``subprocess.Popen``
-and reaped with ``os.wait4``, whose resource usage covers the benchmark
+metrics from its traced run, and which side's traced run went first.
+Each run is started with ``subprocess.Popen`` and reaped with
+``os.wait4``, whose resource usage covers the benchmark
 process and every process it forked and waited for, so work and memory
 moved to worker processes stay counted: per run, ``cpu_s`` is their user
 plus system time and ``tree_peak_rss_mb`` the largest peak resident set
@@ -236,7 +239,7 @@ def main(argv=None) -> int:
             record[side]["src_lines"] = src_lines(tree)
         for side, ms in import_ms(trees).items():
             record[side]["import_ms"] = ms
-        for workload in (w["name"] for w in spec["workloads"]):
+        for k, workload in enumerate(w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -249,13 +252,15 @@ def main(argv=None) -> int:
                           f"tree_peak_rss_mb {result['tree_peak_rss_mb']:.1f}",
                           file=sys.stderr, flush=True)
             record["workloads"][workload] = summarize(spec, runs)
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             traced = {side: run_bench(trees[side], workload, args.seed, seconds, trace=1)
-                      for side in ("parent", "change")}
+                      for side in order}
             record["workloads"][workload]["per_layer"] = {
                 side: {"correct": r["correct"],
                        "metrics": {name: m["value"] for name, m in r["metrics"].items()}}
                 for side, r in traced.items()
             }
+            record["workloads"][workload]["per_layer_first"] = order[0]
     if args.tier1:
         log = ROOT / ".bench_out" / "tier1.log"
         log.parent.mkdir(exist_ok=True)
