@@ -132,6 +132,43 @@ class TestDecideCase:
         assert case.tolist() == [Case.C5]
 
 
+class TestRuleTable:
+    """Each of the 18 situations of ``RULE``, set up on fig2 and stepped by
+    the engine, takes the case that the module docstring's rules name."""
+
+    @pytest.mark.parametrize(
+        "position, own, others, expected",
+        [
+            ("below", "hungry", "hungry", Case.C1),
+            ("below", "hungry", "fed", Case.C1),
+            ("above", "hungry", "hungry", Case.C2),
+            ("above", "hungry", "fed", Case.C2),
+            ("at", "hungry", "hungry", Case.C5),
+            ("at", "hungry", "fed", Case.C5),
+            ("below", "fed", "hungry", Case.C3),
+            ("below", "fed", "fed", Case.C4),
+            ("above", "fed", "hungry", Case.C3),
+            ("above", "fed", "fed", Case.C4),
+            ("at", "fed", "hungry", Case.C5),
+            ("at", "fed", "fed", Case.C5),
+            ("below", "met exactly", "hungry", Case.C5),
+            ("below", "met exactly", "fed", Case.C5),
+            ("above", "met exactly", "hungry", Case.C5),
+            ("above", "met exactly", "fed", Case.C5),
+            ("at", "met exactly", "hungry", Case.C5),
+            ("at", "met exactly", "fed", Case.C5),
+        ],
+    )
+    def test_situation(self, fig2, position, own, others, expected):
+        x0 = {"below": 7.5, "above": 30.0, "at": peak_load(fig2, BENCH_LOADS, 0)}[position]
+        loads = (x0, 7.5, 7.5)
+        p_min = {"hungry": 1e9, "fed": 1e-3, "met exactly": solve_closed_form(fig2, loads).p[0]}
+        scenario = with_receiver(fig2, 0, p_min=p_min[own])
+        for n in (1, 2):
+            scenario = with_receiver(scenario, n, p_min=p_min[others])
+        assert first_step(scenario, loads)["case"] == expected
+
+
 class TestAgentStep:
     """Receiver 0's first step from chosen loads, in the engine and the replay."""
 
@@ -478,6 +515,28 @@ def test_engine_outputs_pinned(fig3):
     )
 
 
+def random_digest():
+    """sha256 of ``run_trials`` results, seeds 29-36, on the N = 1 draw of
+    ``default_rng(1)`` and the N = 8 draw of ``default_rng(3)``."""
+    digest = hashlib.sha256()
+    for n, draw in ((1, 1), (8, 3)):
+        rng = np.random.default_rng(draw)
+        scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))
+        for res in run_trials(scenario, ProtocolConfig(dx=1e-3, k_max=3000, seed=29), 8):
+            row = (res.seed, res.converged, res.feasible, res.iterations,
+                   res.p_tx.hex(), tuple(x.hex() for x in res.final))
+            digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_random_engine_outputs_pinned():
+    # Recorded before the rule became a table.  Three of the N = 1 trials
+    # converge; the others, and every N = 8 trial, run to k_max.
+    assert random_digest() == (
+        "a160e669ccfadfe9014ed297dd397fad2af1f896ef65c3f91351b96b8c1d6c3d"
+    )
+
+
 def serial_trials(scenario, config, trials):
     """``run_trials`` on its serial path: every trial in this process."""
     with mock.patch.object(distributed, "_usable_cpus", return_value=1):
@@ -761,6 +820,49 @@ class TestVerifyTraceChecks:
     def test_converged_flag(self, fig3, trace):
         bad = replace(trace, converged=True)
         assert verify_trace(fig3, bad) == ["converged flag set without N trailing C5 steps"]
+
+    def test_iterations(self, fig3, trace):
+        assert verify_trace(fig3, replace(trace, iterations=7)) == [
+            f"iterations 7 != {len(trace.records)} recorded steps"
+        ]
+
+    def test_stops_before_k_max(self, fig3):
+        # A k_max = 3000 run cut at step 100, its terminal fields made
+        # consistent with the loads after step 100.
+        full = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=3000, seed=5))
+        records = full.records[:100]
+        final = tuple(_load_matrix(full.initial, records["x_new"])[-1].tolist())
+        report = solve_closed_form(fig3, final)
+        feasible = all(p >= rec.p_min for p, rec in zip(report.p, fig3.receivers))
+        cut = replace(full, records=records, iterations=100, converged=False,
+                      feasible=feasible, final=final, final_report=report)
+        assert verify_trace(fig3, cut) == ["100 steps without converging, k_max is 3000"]
+
+    @pytest.fixture(scope="class")
+    def converged(self):
+        """A lone receiver's run that converges at step 401, and its scenario."""
+        rng = np.random.default_rng(1)
+        scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=1))
+        trace = run_protocol(scenario, ProtocolConfig(dx=1e-3, k_max=3000, seed=29))
+        assert trace.converged and trace.iterations == 401
+        assert verify_trace(scenario, trace) == []
+        return scenario, trace
+
+    def test_converged_without_flag(self, converged):
+        scenario, trace = converged
+        assert verify_trace(scenario, replace(trace, converged=False)) == [
+            "N trailing C5 steps without the converged flag"
+        ]
+
+    def test_runs_on_after_converging(self, converged):
+        # A repeat of the last, silent step replays cleanly, but the run
+        # should have stopped before it.
+        scenario, trace = converged
+        records = np.concatenate((trace.records, trace.records[-1:]))
+        longer = replace(trace, records=records, iterations=402)
+        assert verify_trace(scenario, longer) == [
+            "step 401: N consecutive C5 steps end the run, but the trace goes on to step 402"
+        ]
 
     def test_feasible_flag(self, fig3, trace):
         flag = not trace.feasible

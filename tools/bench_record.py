@@ -25,7 +25,7 @@ The output file holds the environment (cores, the CPUs this process may
 run on, which set how many workers the package forks, Python, numpy,
 whether numba is importable), both sides' commit, the hash of their
 ``src`` tree and the line count of its ``src/mrc_wpt/*.py`` (as ``wc -l``
-counts them), the median time of ``import mrc_wpt`` over 15 fresh processes per side
+counts them), in total and per module, the median time of ``import mrc_wpt`` over 15 fresh processes per side
 (alternating between the sides, bytecode writing off, numpy imported
 first; import is most of the ``setup_s`` of the ``cli`` and ``protocol``
 workloads), the measured code (once the change is committed, ``git rev-parse HEAD:src``
@@ -89,9 +89,10 @@ def export_tree(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def src_lines(tree: Path) -> int:
-    """Lines of the package modules in ``tree``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "mrc_wpt").glob("*.py"))
+def module_lines(tree: Path) -> dict[str, int]:
+    """Lines of each package module in ``tree``, as ``wc -l`` counts them."""
+    modules = sorted((tree / "src" / "mrc_wpt").glob("*.py"))
+    return {p.name: p.read_bytes().count(b"\n") for p in modules}
 
 
 def bench_env() -> dict[str, str]:
@@ -236,7 +237,9 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             tree.mkdir()
             export_tree(revs[side], tree)
-            record[side]["src_lines"] = src_lines(tree)
+            lines = module_lines(tree)
+            record[side]["src_lines"] = sum(lines.values())
+            record[side]["src_module_lines"] = lines
         for side, ms in import_ms(trees).items():
             record[side]["import_ms"] = ms
         for k, workload in enumerate(w["name"] for w in spec["workloads"]):
