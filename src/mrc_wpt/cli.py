@@ -119,6 +119,19 @@ def _format_doubles(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _format_counts(v: np.ndarray) -> np.ndarray:
+    """Decimal text of the non-negative integers ``v`` in 4-digit groups from
+    ``_DIGITS``, leading zeros made zero bytes, which the rows' join drops."""
+    v = v.astype(np.uint64)
+    words = np.empty((len(v), (len(str(v.max())) + 3) // 4), np.uint32)
+    for j in reversed(range(words.shape[1])):
+        v, low = np.divmod(v, np.uint64(10**4))
+        words[:, j] = _DIGITS[low]
+    head = words.view(np.uint8)[:, :-1]
+    head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
+    return words.view(f"S{words.itemsize * words.shape[1]}").ravel()
+
+
 def _write_csv(path: str, manifest: str, header: list[str], columns) -> None:
     """Write the ``manifest`` line, the header, then one row per element of
     the equal-length ``columns``: doubles as ``%.16e`` (17 significant
@@ -139,6 +152,8 @@ def _write_csv(path: str, manifest: str, header: list[str], columns) -> None:
                 c = c[start:start + _BLOCK]
                 if c.dtype.kind == "f":
                     c = _format_doubles(c)
+                elif c.dtype.kind in "iu" and c.min() >= 0:
+                    c = _format_counts(c)
                 elif c.dtype.kind != "S":
                     c = c.astype("S20")
                 comma = np.full((len(c), 1), ord(","), np.uint8)

@@ -31,9 +31,9 @@ in ``circuit``, which serves both ``solve_closed_form`` and the array kernel
 recorded traces and the replay all agree to the bit.
 A step's probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same
 operations, the state that a move to either load leads to, and the move
-takes it from there; only a move clamped to a bound is computed again.
-Bare and recorded runs execute every step, so a trial's cost is its step
-count, whatever state the trial reaches.
+takes it from there; only a clamped move computes it, and the powers are
+redone only after a load changed.  Bare and recorded runs execute every
+step, so a trial's cost is its step count, whatever state it reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
@@ -236,42 +236,38 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     1:]`` in index order: the operations of ``solve_closed_form`` in its
     order, so every probe and power is the same to the bit.  A move to a
     probed load takes that probe's ``t``, ``q`` and r_in; a move clamped to
-    a bound computes them again.  After a move only the powers and the
-    hungry count are redone.  The case is read from ``RULE`` at an index
-    built inline: a call per step ran about 15% slower on CPython 3.11.
+    a bound computes them again.  The powers and the hungry count are redone
+    only after a step that changed a load; the loop is counted and its
+    ranges are built once per trial.  The case is read from ``RULE`` at an
+    index built inline: a call per step ran about 15% slower on CPython 3.11.
     """
     r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
     n_agents = len(x)
+    agents = range(n_agents)
+    tails = [range(k + 1, n_agents) for k in agents]  # the receivers after k
     hw = [half_v2 * w for w in wh2]
     t = [0.0] * n_agents
     q = [0.0] * n_agents
     r_in = r_tx
-    for k in range(n_agents):
+    for k in agents:
         d = r[k] + x[k]
         t[k] = wh2[k] / d
         q[k] = hw[k] * x[k] / (d * d)
         r_in += t[k]
-    s_n = r_tx
+    rr = r_in * r_in
     n_hungry = 0  # receivers whose demand is not met
-    moved = True  # the powers are out of date
+    for k in agents:
+        p = q[k] / rr
+        p_work[k] = p
+        n_hungry += p < p_min[k]
+    s_n = r_tx
     trailing_c5 = 0
-    steps = 0
     n = 0
     converged = False
-    while True:
-        if moved:
-            rr = r_in * r_in
-            n_hungry = 0
-            for k in range(n_agents):
-                p = q[k] / rr
-                p_work[k] = p
-                n_hungry += p < p_min[k]
-            moved = False
-        if steps >= k_max:
-            break
-        steps += 1
+    for steps in range(1, k_max + 1):
         p_own = p_work[n]
-        hungry = p_own < p_min[n]
+        p_min_n = p_min[n]
+        hungry = p_own < p_min_n
         others_fed = n_hungry - hungry == 0
 
         x_n = x[n]
@@ -280,17 +276,19 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
             lo = 0.5 * x_n
         hi = x_n + dx
         w_n = wh2[n]
-        d_lo = r[n] + lo
-        d_hi = r[n] + hi
+        r_n = r[n]
+        hw_n = hw[n]
+        d_lo = r_n + lo
+        d_hi = r_n + hi
         t_lo = w_n / d_lo
         t_hi = w_n / d_hi
         r_lo = s_n + t_lo
         r_hi = s_n + t_hi
-        for k in range(n + 1, n_agents):
+        for k in tails[n]:
             r_lo += t[k]
             r_hi += t[k]
-        q_lo = hw[n] * lo / (d_lo * d_lo)
-        q_hi = hw[n] * hi / (d_hi * d_hi)
+        q_lo = hw_n * lo / (d_lo * d_lo)
+        q_hi = hw_n * hi / (d_hi * d_hi)
         p_lo = q_lo / (r_lo * r_lo)
         p_hi = q_hi / (r_hi * r_hi)
 
@@ -301,44 +299,46 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
         else:
             pos = 4
         if not hungry:
-            pos += 6 if p_own > p_min[n] else 12
+            pos += 6 if p_own > p_min_n else 12
         case = RULE[pos + others_fed]
 
-        # A move to a probed load takes that probe's state.  (x_min > 0, so
-        # x_n - dx > x_min means that the lower probe was at x_n - dx.)
-        if case == 1 or case == 3:
-            if hi < x_max[n]:
-                x[n] = hi
-                t[n], q[n], r_in = t_hi, q_hi, r_hi
-                moved = True
-            else:
-                x[n] = x_max[n]
-        elif case == 2 or case == 4:
-            if x_n - dx > x_min[n]:
-                x[n] = lo
-                t[n], q[n], r_in = t_lo, q_lo, r_lo
-                moved = True
-            else:
-                x[n] = x_min[n]
-
-        if on_step is not None:
-            on_step((n, p_lo, p_hi, case, x[n], *p_work))
-
         if case == 5:
+            if on_step is not None:
+                on_step((n, p_lo, p_hi, case, x_n, *p_work))
             trailing_c5 += 1
             if trailing_c5 >= n_agents:
                 converged = True
                 break
         else:
             trailing_c5 = 0
-            if not moved and x[n] != x_n:  # clamped to a bound
-                d = r[n] + x[n]
-                t[n] = w_n / d
-                q[n] = hw[n] * x[n] / (d * d)
-                r_in = s_n + t[n]
-                for k in range(n + 1, n_agents):
-                    r_in += t[k]
-                moved = True
+            # (x_min > 0, so x_n - dx > x_min means that lo is x_n - dx.)
+            if case == 1 or case == 3:
+                x_new = hi if hi < x_max[n] else x_max[n]
+            else:
+                x_new = lo if x_n - dx > x_min[n] else x_min[n]
+            x[n] = x_new
+            if on_step is not None:
+                on_step((n, p_lo, p_hi, case, x_new, *p_work))
+            if x_new != x_n:
+                # A load equal to a probed one takes that probe's state (the
+                # same bits as computing it); a clamped move computes it.
+                if x_new == hi:
+                    t[n], q[n], r_in = t_hi, q_hi, r_hi
+                elif x_new == lo:
+                    t[n], q[n], r_in = t_lo, q_lo, r_lo
+                else:
+                    d = r_n + x_new
+                    t[n] = w_n / d
+                    q[n] = hw_n * x_new / (d * d)
+                    r_in = s_n + t[n]
+                    for k in tails[n]:
+                        r_in += t[k]
+                rr = r_in * r_in
+                n_hungry = 0
+                for k in agents:
+                    p = q[k] / rr
+                    p_work[k] = p
+                    n_hungry += p < p_min[k]
 
         s_n += t[n]
         n += 1
@@ -569,10 +569,11 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     bits, the probe powers, the case decision, the clamped update, bounds
     safety, and the single-mutator property; then checks the terminal
     loads, the step count, the stop rule (a run ends at its first N
-    consecutive C5 steps, flagged converged, or else after ``k_max`` steps)
-    and the feasibility flag.  Returns a list of human-readable
-    violations (empty for a sound trace), step by step and in that order
-    within a step.  All comparisons are exact.
+    consecutive C5 steps, flagged converged, or else after ``k_max`` steps),
+    the final report (exactly the closed form at the replayed final loads,
+    where those are all positive) and the feasibility flag.  Returns a list
+    of human-readable violations (empty for a sound trace), step by step and
+    in that order within a step.  All comparisons are exact.
 
     This replay is the second of the two places where the step is written,
     and the tests tie it to the step engine bit for bit.  Every power is
@@ -691,6 +692,12 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
         violations.append("N trailing C5 steps without the converged flag")
     elif not trace.converged and steps != trace.config.k_max:
         violations.append(f"{steps} steps without converging, k_max is {trace.config.k_max}")
+    last = loads[-1]
+    if (np.isfinite(last) & (last > 0)).all():
+        fields = zip(PowerReport._fields, trace.final_report, closed_form_arrays(scenario, last))
+        differ = ", ".join(name for name, a, b in fields if not np.array_equal(a, b))
+        if differ:
+            violations.append(f"final report ({differ}) differs from replayed loads")
     final = np.asarray(trace.final, dtype=float)
     # Final loads that are not all positive meet no demand.
     valid = bool((np.isfinite(final) & (final > 0)).all())

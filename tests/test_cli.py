@@ -624,6 +624,29 @@ class TestFormatDoubles:
         self.assert_formats(values)
 
 
+class TestIntegerColumns:
+    """``_write_csv`` writes integer columns as ``csv.writer`` writes them."""
+
+    VALUES = [0, 1, 9, 10, 99, 100] + [
+        10**k + d for k in range(2, 19) for d in (-1, 1)
+    ] + [2**63 - 1]
+
+    def assert_written(self, tmp_path, values):
+        path = tmp_path / "counts.csv"
+        column = np.array(values, np.int64)
+        # Blocks of 4 rows, so that blocks need different numbers of digits.
+        with mock.patch.object(cli, "_BLOCK", 4):
+            cli._write_csv(str(path), "# counts", ["a", "b"], (column, column[::-1]))
+        rows = [(str(a), str(b)) for a, b in zip(values, values[::-1])]
+        assert raw_body(path) == csv_body(["a", "b"], rows)
+
+    def test_non_negative(self, tmp_path):
+        self.assert_written(tmp_path, self.VALUES)
+
+    def test_with_a_negative_value(self, tmp_path):
+        self.assert_written(tmp_path, self.VALUES + [-7])
+
+
 class TestVerifyCommand:
     def test_passes_on_bundled(self, capsys):
         code = main(["verify", "--scenario", "paper-fig2", "--trials", "30"])

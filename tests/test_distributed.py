@@ -491,6 +491,62 @@ class TestEngineEdgePaths:
         assert_same_outcome(result, trace)
 
 
+def lone_power(x):
+    """``lone_receiver_scenario``'s receiver power at load ``x``."""
+    return solve_closed_form(lone_receiver_scenario(), (x,)).p[0]
+
+
+class TestLoopEnds:
+    """Runs cut at the first and last steps of the engine's counted loop."""
+
+    @pytest.fixture(scope="class")
+    def lone(self):
+        """The N = 1 draw of ``default_rng(1)``; seed 29 converges at step 401."""
+        rng = np.random.default_rng(1)
+        return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=1))[0]
+
+    @pytest.mark.parametrize(
+        "k_max, iterations, converged",
+        [(1, 1, False), (400, 400, False), (401, 401, True), (402, 401, True)],
+    )
+    def test_k_max_around_convergence(self, lone, k_max, iterations, converged):
+        config = ProtocolConfig(dx=1e-3, k_max=k_max, seed=29)
+        trace = run_protocol(lone, config)
+        assert (trace.iterations, trace.converged) == (iterations, converged)
+        assert verify_trace(lone, trace) == []
+        (result,) = run_trials(lone, config, 1)
+        assert_same_outcome(result, trace)
+
+    @pytest.mark.parametrize(
+        "scenario, path, feasible",
+        [
+            # TestEngineEdgePaths' climb to x_max, whose demand is the
+            # power at x_max: met only by the last, clamped move.
+            (lone_with(x_max=1.0, p_min=lone_power(1.0)), "clamped at x_max", True),
+            # Its descent to x_min, whose demand is just above the power at
+            # x_min: unmet only after the last, clamped move.
+            (lone_with(p_min=math.nextafter(lone_power(0.05), math.inf)),
+             "clamped at x_min", False),
+        ],
+        ids=["x_max", "x_min"],
+    )
+    def test_last_step_clamped(self, scenario, path, feasible):
+        config = ProtocolConfig(dx=0.03, k_max=3000, seed=1)
+        full = run_protocol(scenario, config)
+        before = _load_matrix(full.initial, full.records["x_new"])[:-1]
+        taken = step_paths(scenario, full, before[:, 0])[path]
+        config = replace(config, k_max=int(np.flatnonzero(taken)[0]) + 1)
+        trace = run_protocol(scenario, config)
+        assert trace.iterations == config.k_max and not trace.converged
+        bound = scenario.receivers[0].x_max if feasible else scenario.receivers[0].x_min
+        assert trace.final == (bound,)
+        (p_final,) = solve_closed_form(scenario, trace.final).p
+        assert trace.feasible == (p_final >= scenario.receivers[0].p_min) == feasible
+        assert verify_trace(scenario, trace) == []
+        (result,) = run_trials(scenario, config, 1)
+        assert_same_outcome(result, trace)
+
+
 def batch_digest(fig3):
     """sha256 of ``batch_run`` results at the ten fig3 demand points."""
     digest = hashlib.sha256()
@@ -692,14 +748,14 @@ class TestVerifyTraceChecks:
         return replace(trace, records=records)
 
     def with_last_x_new(self, scenario, trace, x_new):
-        """The last step moved to ``x_new``, with the final loads and
-        feasible flag made consistent with that load."""
+        """The last step moved to ``x_new``, with the final loads, final
+        report and feasible flag made consistent with that load."""
         final = list(trace.final)
         final[trace.records[-1]["agent"]] = x_new
         report = solve_closed_form(scenario, final)
         feasible = all(p >= rec.p_min for p, rec in zip(report.p, scenario.receivers))
         bad = self.with_step(trace, len(trace.records), x_new=x_new)
-        return replace(bad, final=tuple(final), feasible=feasible)
+        return replace(bad, final=tuple(final), final_report=report, feasible=feasible)
 
     def test_agent_order(self, fig3, trace):
         agent = (trace.records[self.STEP - 1]["agent"] + 1) % fig3.n
@@ -816,6 +872,18 @@ class TestVerifyTraceChecks:
         feasible = all(p >= rec.p_min for p, rec in zip(report.p, fig3.receivers))
         bad = replace(trace, final=final, feasible=feasible)
         assert verify_trace(fig3, bad) == ["final loads differ from replayed loads"]
+
+    def test_final_report(self, fig3):
+        # The report at the initial loads (766.26 W) in place of the one at
+        # the final loads (765.66 W).
+        clean = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=300, seed=5))
+        bad = replace(clean, final_report=solve_closed_form(fig3, clean.initial))
+        assert verify_trace(fig3, bad) == [
+            "final report (r_in, p, p_tx, p_sum) differs from replayed loads"
+        ]
+        p_tx = math.nextafter(clean.final_report.p_tx, math.inf)
+        bad = replace(clean, final_report=clean.final_report._replace(p_tx=p_tx))
+        assert verify_trace(fig3, bad) == ["final report (p_tx) differs from replayed loads"]
 
     def test_converged_flag(self, fig3, trace):
         bad = replace(trace, converged=True)

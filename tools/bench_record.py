@@ -41,8 +41,10 @@ plus system time and ``tree_peak_rss_mb`` the largest peak resident set
 of any of them (``ru_maxrss``, KiB on Linux, in the 10^6-byte megabytes of
 the benchmark's own ``peak_rss_mb``, which reads ``RUSAGE_SELF`` and does
 not see its workers).  With ``--tier1`` it also runs
-the Tier-1 suite once on the working tree and records its wall time and
-summary line; the full pytest output goes to ``.bench_out/tier1.log``.
+the Tier-1 suite once on the working tree and records its wall time, its
+summary line and, under ``slowest``, its five slowest test phases as pytest's
+``--durations=5`` reports them (node id, phase and seconds); the full
+pytest output goes to ``.bench_out/tier1.log``.
 
 On a shared host the machine's speed can drift by tens of percent within
 minutes, so only the paired comparison says anything; the raw times are
@@ -56,6 +58,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -67,6 +70,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SLOWEST = 5
+# A line of pytest's "slowest durations" section: "191.23s call     tests/...".
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(.+)$")
 PAIRS = 10
 IMPORTS = 15
 _TIME_IMPORT = (
@@ -173,16 +179,22 @@ def run_tier1(log: Path) -> dict:
     env = bench_env()
     env["PYTHONPATH"] = "src"
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT, capture_output=True,
+    command = [*TIER1, f"--durations={SLOWEST}"]
+    done = subprocess.run([sys.executable, *command], cwd=ROOT, capture_output=True,
                           text=True, env=env)
     wall = time.perf_counter() - t0
     log.write_text(done.stdout + done.stderr)
     lines = done.stdout.strip().splitlines()
+    slowest = [
+        {"node": m[3], "phase": m[2], "s": float(m[1])}
+        for m in map(_DURATION.match, lines) if m
+    ]
     return {
-        "command": "PYTHONPATH=src python " + " ".join(TIER1),
+        "command": "PYTHONPATH=src python " + " ".join(command),
         "wall_s": round(wall, 1),
         "exit_code": done.returncode,
         "summary": lines[-1] if lines else "",
+        "slowest": slowest,
     }
 
 
