@@ -17,23 +17,23 @@ hypothetical measurements and may leave the bounds (only staying positive).
 A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
-Implementation note: the rule C1-C5 is written once, as the table
-``RULE``, and the step around it twice.  ``_trial_engine`` is the one
-simulator of the protocol, and ``run_protocol`` runs it: bare, as for every
-trial of ``batch_run``, or with a step recorder that appends one tuple of
-doubles per step to a flat buffer, from which the trace's ``records`` array
-is built once, and which ``simulate --trace`` writes out.  ``verify_trace``
-is an independent array replay of the same step, with its own index into
-``RULE``, and the tests compare the engine against it.  The engine's power
-expressions mirror operation for operation the one body of the closed form
-in ``circuit``, which serves both ``solve_closed_form`` and the array kernel
-``closed_form_arrays`` that the replay uses, so simulated measurements,
-recorded traces and the replay all agree to the bit.
-A step's probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same
-operations, the state that a move to either load leads to, and the move
-takes it from there; only a clamped move computes it, and the powers are
-redone only after a load changed.  Bare and recorded runs execute every
-step, so a trial's cost is its step count, whatever state it reaches.
+Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
+and the step around it twice.  ``_trial_engine``, the one simulator, reads a
+scenario and its ``ProtocolConfig``, and ``run_protocol`` runs it: bare, as
+for every trial of ``batch_run``, or with a step recorder that appends one
+tuple of doubles per step to a flat buffer, from which the trace's
+``records`` array is built once, and which ``simulate --trace`` writes out.
+``verify_trace`` is an independent array replay of the same step, with its
+own index into ``RULE``, and the tests compare the engine against it.  The
+engine's power expressions mirror operation for operation the one body of
+the closed form in ``circuit``, which serves both ``solve_closed_form`` and
+the array kernel ``closed_form_arrays`` that the replay uses, so simulated
+measurements, recorded traces and the replay all agree to the bit.  A step's
+probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same operations, the
+state that a move to either load leads to, and the move takes it from there;
+only a clamped move computes it, and the powers are redone only after a load
+changed.  Bare and recorded runs execute every step, so a trial's cost is
+its step count, whatever state it reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
@@ -121,19 +121,6 @@ class ProtocolConfig:
             raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed})")
 
 
-def _step_dtype(n: int) -> np.dtype:
-    """Row type of :attr:`ProtocolTrace.records` for ``n`` receivers."""
-    return np.dtype(
-        [
-            ("agent", np.intp),
-            ("feedback", np.uint8, (n,)),
-            ("probes", np.float64, (3,)),
-            ("case", np.int8),
-            ("x_new", np.float64),
-        ]
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ProtocolTrace:
     """Complete record of one protocol run.
@@ -206,28 +193,13 @@ RULE = (1, 1, 2, 2, 5, 5,  # hungry (0); at its peak it waits for others' C3
         5, 5, 5, 5, 5, 5)  # demand met exactly (12)
 
 
-def _scenario_params(scenario: SystemScenario):
-    recs = scenario.receivers
-    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
-    return (
-        scenario.tx.r_tx,
-        half_v2,
-        list(coupling_ohms2(scenario)),
-        [rec.r for rec in recs],
-        [rec.x_min for rec in recs],
-        [rec.x_max for rec in recs],
-        [rec.p_min for rec in recs],
-    )
+def _trial_engine(scenario, x, config, on_step=None):
+    """Run one trial of ``scenario`` in place on ``x``, with the step size and
+    budget of ``config``.  Returns (converged, feasible, steps).
 
-
-def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
-    """Run one trial in place on ``x``.  Returns (converged, feasible, steps).
-
-    ``params`` comes from ``_scenario_params``.  When given, ``on_step`` is
-    called after each step with the tuple ``(n, p_lo, p_hi, case, x[n],
-    *p_work)``: the step's receiver, probes and case, the load it left and
-    the powers it started from.  On return ``p_work`` holds the powers at
-    the final loads.
+    When given, ``on_step`` is called after each step with the tuple ``(n,
+    p_lo, p_hi, case, x[n], *p_work)``: the step's receiver, probes and
+    case, the load it left and the powers ``p_work`` it started from.
 
     Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
     share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
@@ -241,13 +213,22 @@ def _trial_engine(params, x, p_work, dx, k_max, on_step=None):
     ranges are built once per trial.  The case is read from ``RULE`` at an
     index built inline: a call per step ran about 15% slower on CPython 3.11.
     """
-    r_tx, half_v2, wh2, r, x_min, x_max, p_min = params
+    recs = scenario.receivers
+    r_tx = scenario.tx.r_tx
+    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
+    wh2 = list(coupling_ohms2(scenario))
+    r = [rec.r for rec in recs]
+    x_min = [rec.x_min for rec in recs]
+    x_max = [rec.x_max for rec in recs]
+    p_min = [rec.p_min for rec in recs]
+    dx, k_max = config.dx, config.k_max
     n_agents = len(x)
     agents = range(n_agents)
     tails = [range(k + 1, n_agents) for k in agents]  # the receivers after k
     hw = [half_v2 * w for w in wh2]
     t = [0.0] * n_agents
     q = [0.0] * n_agents
+    p_work = [0.0] * n_agents  # the powers at the current loads
     r_in = r_tx
     for k in agents:
         d = r[k] + x[k]
@@ -471,7 +452,8 @@ def run_trials(
 def run_protocol(
     scenario: SystemScenario, config: ProtocolConfig, record: bool = True
 ) -> ProtocolTrace:
-    """Simulate one full protocol run from a seeded random starting point.
+    """Simulate one full protocol run from the initial loads drawn for
+    ``config.seed``: ``_trial_engine`` on ``scenario`` and ``config``.
 
     Iterates round-robin starting at receiver 0.  At each step the active
     receiver sees feedback bits sampled at the start of the step (before it
@@ -480,22 +462,22 @@ def run_protocol(
     ``record=False`` ``records`` has no rows and only the terminal fields of
     the trace are populated.
     """
-    params = _scenario_params(scenario)
     initial = draw_initial_loads(scenario, config.seed)
     x = list(initial)
-    p_work = [0.0] * scenario.n
     # Each step's tuple goes into one flat buffer, so that no Python object
     # is kept per step; the records array is built from it once, at the end.
     buffer = array("d")
     converged, feasible, steps = _trial_engine(
-        params, x, p_work, config.dx, config.k_max, buffer.extend if record else None
+        scenario, x, config, buffer.extend if record else None
     )
     table = np.frombuffer(buffer).reshape(-1, 5 + scenario.n)
     agent = table[:, 0].astype(np.intp)
     powers = table[:, 5:]
-    records = np.empty(len(table), _step_dtype(scenario.n))
+    fields = [("agent", np.intp), ("feedback", np.uint8, (scenario.n,)),
+              ("probes", np.float64, (3,)), ("case", np.int8), ("x_new", np.float64)]
+    records = np.empty(len(table), fields)
     records["agent"] = agent
-    records["feedback"] = powers >= np.array(params[-1])
+    records["feedback"] = powers >= np.array([rec.p_min for rec in scenario.receivers])
     records["probes"] = np.stack(
         (table[:, 1], powers[np.arange(len(table)), agent], table[:, 2]), axis=1
     )
@@ -565,7 +547,8 @@ def _cases(p_own, p_min, p_lo, p_hi, others_fed) -> np.ndarray:
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     """Replay a recorded trace and report every deviation found.
 
-    Re-derives, at every step: the round-robin agent, the truthful feedback
+    Checks that the initial loads are the draw of the config's seed, then
+    re-derives, at every step: the round-robin agent, the truthful feedback
     bits, the probe powers, the case decision, the clamped update, bounds
     safety, and the single-mutator property; then checks the terminal
     loads, the step count, the stop rule (a run ends at its first N
@@ -602,6 +585,9 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     if not (np.isfinite(initial) & (initial > 0)).all():
         violations.append(f"initial loads {trace.initial} are not all positive")
         stop = -1  # no step can be replayed
+    elif trace.initial != draw_initial_loads(scenario, trace.config.seed):
+        seed = trace.config.seed
+        violations.append(f"initial loads {trace.initial} are not the draw of seed {seed}")
     records = trace.records[: stop + 1]
     rows = np.arange(len(records))
     cols = rows % n_agents

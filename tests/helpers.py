@@ -1,10 +1,12 @@
 import os
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mrc_wpt import distributed
 from mrc_wpt.centralized import check_feasibility, z_bracket
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
@@ -19,6 +21,21 @@ def assert_no_child_left():
     """No child process of this one is left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def failing_engine(scenario, seed, fail):
+    """A patch of ``_trial_engine`` that calls ``fail(in_parent)`` on the
+    trial of ``scenario`` that starts from ``seed``'s initial loads."""
+    engine = distributed._trial_engine
+    loads = list(distributed.draw_initial_loads(scenario, seed))
+    parent = os.getpid()
+
+    def fake(scenario, x, *args):
+        if x == loads:
+            fail(os.getpid() == parent)
+        return engine(scenario, x, *args)
+
+    return mock.patch.object(distributed, "_trial_engine", fake)
 
 
 def fig3_with_p3(fig3, p3):

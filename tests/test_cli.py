@@ -19,7 +19,7 @@ from mrc_wpt.cli import _format_doubles, main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
-from helpers import assert_no_child_left
+from helpers import assert_no_child_left, failing_engine
 
 
 def read_output(path):
@@ -518,18 +518,9 @@ class TestParallelWriter:
     def simulate_failing(self, tmp_path, fig3, fail):
         """``simulate --trials 2 --trace`` on two workers; the engine calls
         ``fail(in_parent)`` on trial 1, which the child runs."""
-        engine = distributed._trial_engine
-        loads = list(distributed.draw_initial_loads(fig3, 6))
-        parent = os.getpid()
-
-        def fake(params, x, *args):
-            if x == loads:
-                fail(os.getpid() == parent)
-            return engine(params, x, *args)
-
         out = tmp_path / "t.csv"
         try:
-            with mock.patch.object(distributed, "_trial_engine", fake), \
+            with failing_engine(fig3, 6, fail), \
                     mock.patch.object(distributed, "_usable_cpus", return_value=2):
                 main(self.trace_args(tmp_path, out, trials=2))
         finally:

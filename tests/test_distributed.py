@@ -33,7 +33,7 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
-from helpers import assert_no_child_left, fig3_with_p3
+from helpers import assert_no_child_left, failing_engine, fig3_with_p3
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -59,7 +59,7 @@ def first_step(scenario, loads, dx=1e-3):
     engine; ``verify_trace``'s replay must derive the same step."""
     with mock.patch.object(distributed, "draw_initial_loads", return_value=tuple(loads)):
         trace = run_protocol(scenario, ProtocolConfig(dx=dx, k_max=1))
-    assert verify_trace(scenario, trace) == []
+        assert verify_trace(scenario, trace) == []
     return trace.records[0]
 
 
@@ -286,9 +286,7 @@ class TestRunProtocol:
                 moves.extend(changed)
                 before[:] = x
 
-            distributed._trial_engine(
-                distributed._scenario_params(scenario), x, [0.0] * scenario.n, 1e-3, 2000, spy
-            )
+            distributed._trial_engine(scenario, x, ProtocolConfig(dx=1e-3, k_max=2000), spy)
             assert set(moves) == set(range(scenario.n))
 
     def test_convergence_at_own_peak(self):
@@ -593,6 +591,37 @@ def test_random_engine_outputs_pinned():
     )
 
 
+def recorded_digest(fig3):
+    """sha256 of recorded ``run_protocol`` traces, seeds 0-2 at k_max 3000:
+    the records' layout and bytes and the terminal fields, on fig3 at
+    p3 = 5 and 50 and on the N = 1 draw of ``default_rng(1)`` and the N = 8
+    draw of ``default_rng(3)``."""
+    scenarios = [fig3_with_p3(fig3, 5), fig3_with_p3(fig3, 50)]
+    for n, draw in ((1, 1), (8, 3)):
+        rng = np.random.default_rng(draw)
+        scenarios.append(with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0])
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        for seed in range(3):
+            trace = run_protocol(scenario, ProtocolConfig(dx=1e-3, k_max=3000, seed=seed))
+            report = trace.final_report
+            digest.update(repr(trace.records.dtype.descr).encode())
+            digest.update(trace.records.tobytes())
+            row = (trace.iterations, trace.converged, trace.feasible,
+                   tuple(x.hex() for x in trace.final), report.r_in.hex(),
+                   tuple(p.hex() for p in report.p), report.p_tx.hex(), report.p_sum.hex())
+            digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_recorded_engine_outputs_pinned(fig3):
+    # Recorded before the engine took the scenario and its config, so the
+    # recorded probes, feedback bits and records layout stay pinned too.
+    assert recorded_digest(fig3) == (
+        "d7324495e611fc1c1aaa121febe5db1954b2de977041e7df94eed5e318da8094"
+    )
+
+
 def serial_trials(scenario, config, trials):
     """``run_trials`` on its serial path: every trial in this process."""
     with mock.patch.object(distributed, "_usable_cpus", return_value=1):
@@ -626,24 +655,10 @@ class TestParallelTrials:
                 converged += sum(res.converged and res.iterations < 3000 for res in serial)
         assert converged > 0
 
-    @staticmethod
-    def failing_engine(scenario, seed, fail):
-        """``_trial_engine`` that calls ``fail(in_parent)`` on ``seed``'s trial."""
-        engine = distributed._trial_engine
-        loads = list(draw_initial_loads(scenario, seed))
-        parent = os.getpid()
-
-        def fake(params, x, *args):
-            if x == loads:
-                fail(os.getpid() == parent)
-            return engine(params, x, *args)
-
-        return mock.patch.object(distributed, "_trial_engine", fake)
-
     def run_two_workers(self, fig3, fail):
         """Two trials, seeds 0 and 1, on two workers: seed 1 runs in the child."""
         config = ProtocolConfig(dx=1e-3, k_max=200, seed=0)
-        with self.failing_engine(fig3, 1, fail), \
+        with failing_engine(fig3, 1, fail), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=2):
             run_trials(fig3, config, 2)
 
@@ -688,7 +703,7 @@ class TestParallelTrials:
 
         t0 = time.perf_counter()
         # Seed 0 runs in the caller and is interrupted while seed 1's worker sleeps.
-        with self.failing_engine(fig3, 1, fail), self.failing_engine(fig3, 0, fail), \
+        with failing_engine(fig3, 1, fail), failing_engine(fig3, 0, fail), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=2):
             with pytest.raises(KeyboardInterrupt):
                 run_trials(fig3, ProtocolConfig(dx=1e-3, k_max=200, seed=0), 2)
@@ -865,6 +880,13 @@ class TestVerifyTraceChecks:
                 message,
                 f"feasible flag {bad.feasible} does not match replay ({clean.feasible})",
             ]
+
+    def test_initial_not_the_seed_draw(self, fig3, trace):
+        # The same run, its config claiming the initial loads of seed 6.
+        bad = replace(trace, config=replace(trace.config, seed=6))
+        assert verify_trace(fig3, bad) == [
+            f"initial loads {trace.initial} are not the draw of seed 6"
+        ]
 
     def test_final_loads(self, fig3, trace):
         final = trace.final[:-1] + (math.nextafter(trace.final[-1], 0.0),)

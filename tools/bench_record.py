@@ -41,10 +41,11 @@ plus system time and ``tree_peak_rss_mb`` the largest peak resident set
 of any of them (``ru_maxrss``, KiB on Linux, in the 10^6-byte megabytes of
 the benchmark's own ``peak_rss_mb``, which reads ``RUSAGE_SELF`` and does
 not see its workers).  With ``--tier1`` it also runs
-the Tier-1 suite once on the working tree and records its wall time, its
-summary line and, under ``slowest``, its five slowest test phases as pytest's
-``--durations=5`` reports them (node id, phase and seconds); the full
-pytest output goes to ``.bench_out/tier1.log``.
+the Tier-1 suite once in each side's exported tree, the parent first, and
+records per side its wall time, exit code, summary line and, under
+``slowest``, its five slowest test phases as pytest's ``--durations=5``
+reports them (node id, phase and seconds); the full pytest output goes to
+``.bench_out/tier1-<side>.log``.
 
 On a shared host the machine's speed can drift by tens of percent within
 minutes, so only the paired comparison says anything; the raw times are
@@ -175,12 +176,13 @@ def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
     }
 
 
-def run_tier1(log: Path) -> dict:
+def run_tier1(tree: Path, log: Path) -> dict:
+    """Tier-1 run once in ``tree``, its output written to ``log``."""
     env = bench_env()
     env["PYTHONPATH"] = "src"
     t0 = time.perf_counter()
     command = [*TIER1, f"--durations={SLOWEST}"]
-    done = subprocess.run([sys.executable, *command], cwd=ROOT, capture_output=True,
+    done = subprocess.run([sys.executable, *command], cwd=tree, capture_output=True,
                           text=True, env=env)
     wall = time.perf_counter() - t0
     log.write_text(done.stdout + done.stderr)
@@ -276,10 +278,11 @@ def main(argv=None) -> int:
                 for side, r in traced.items()
             }
             record["workloads"][workload]["per_layer_first"] = order[0]
-    if args.tier1:
-        log = ROOT / ".bench_out" / "tier1.log"
-        log.parent.mkdir(exist_ok=True)
-        record["tier1"] = run_tier1(log)
+        if args.tier1:
+            logs = ROOT / ".bench_out"
+            logs.mkdir(exist_ok=True)
+            record["tier1"] = {side: run_tier1(tree, logs / f"tier1-{side}.log")
+                               for side, tree in trees.items()}
     (ROOT / args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
