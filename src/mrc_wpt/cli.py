@@ -7,7 +7,7 @@ manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
 rows at a time; ``simulate`` writes its trace while forked workers run its
-other trials.
+other trials, and ``verify`` checks its samples on every usable CPU.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def _format_doubles(x: np.ndarray) -> np.ndarray:
     out[fast[neg], 1:23] = text[neg]
     slow = np.flatnonzero(out[:, 0] == 0)
     out = out.view("S24").ravel()
-    for k in slow.tolist():
-        out[k] = b"%.16e" % x[k]
+    if slow.size:
+        out[slow] = [b"%.16e" % v for v in x[slow].tolist()]
     return out
 
 

@@ -21,8 +21,9 @@ Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
 and the step around it twice.  ``_trial_engine``, the one simulator, reads a
 scenario and its ``ProtocolConfig``, and ``run_protocol`` runs it: bare, as
 for every trial of ``batch_run``, or with a step recorder that appends one
-tuple of doubles per step to a flat buffer, from which the trace's
-``records`` array is built once, and which ``simulate --trace`` writes out.
+packed frame per step, the step's doubles as bytes, to a flat buffer, from
+which the trace's ``records`` array is built once, and which ``simulate
+--trace`` writes out.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -37,11 +38,12 @@ its step count, whatever state it reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, the one place that forks, as does ``simulate --trace`` with
-trial 0 recorded: it yields results in order, computed by forked workers,
-one per usable CPU, of which the calling process is one, and bit-identical
-to computing every item in one process.  It computes in-process where it
-cannot fork or where the caller has other Python threads.
+``_in_order``, the one place that forks, as do ``simulate --trace`` with
+trial 0 recorded and ``run_verification`` with its samples: it yields
+results in order, computed by forked workers, one per usable CPU, of which
+the calling process is one, and bit-identical to computing every item in
+one process.  It computes in-process where it cannot fork or where the
+caller has other Python threads.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import math
 import os
 import pickle
 import signal
+import struct
 import threading
 from array import array
 from dataclasses import dataclass, replace
@@ -197,9 +200,11 @@ def _trial_engine(scenario, x, config, on_step=None):
     """Run one trial of ``scenario`` in place on ``x``, with the step size and
     budget of ``config``.  Returns (converged, feasible, steps).
 
-    When given, ``on_step`` is called after each step with the tuple ``(n,
-    p_lo, p_hi, case, x[n], *p_work)``: the step's receiver, probes and
-    case, the load it left and the powers ``p_work`` it started from.
+    When given, ``on_step`` is called after each step with one packed frame
+    per step: the bytes of the ``5 + N`` native doubles ``(n, p_lo, p_hi,
+    case, x[n], *p_work)``, the step's receiver, probes and case, the load it
+    left and the powers ``p_work`` it started from.  The frame is packed by
+    one ``struct.Struct`` built per trial.
 
     Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
     share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
@@ -223,6 +228,7 @@ def _trial_engine(scenario, x, config, on_step=None):
     p_min = [rec.p_min for rec in recs]
     dx, k_max = config.dx, config.k_max
     n_agents = len(x)
+    pack = struct.Struct(f"{5 + n_agents}d").pack
     agents = range(n_agents)
     tails = [range(k + 1, n_agents) for k in agents]  # the receivers after k
     hw = [half_v2 * w for w in wh2]
@@ -285,7 +291,7 @@ def _trial_engine(scenario, x, config, on_step=None):
 
         if case == 5:
             if on_step is not None:
-                on_step((n, p_lo, p_hi, case, x_n, *p_work))
+                on_step(pack(n, p_lo, p_hi, case, x_n, *p_work))
             trailing_c5 += 1
             if trailing_c5 >= n_agents:
                 converged = True
@@ -299,7 +305,7 @@ def _trial_engine(scenario, x, config, on_step=None):
                 x_new = lo if x_n - dx > x_min[n] else x_min[n]
             x[n] = x_new
             if on_step is not None:
-                on_step((n, p_lo, p_hi, case, x_new, *p_work))
+                on_step(pack(n, p_lo, p_hi, case, x_new, *p_work))
             if x_new != x_n:
                 # A load equal to a probed one takes that probe's state (the
                 # same bits as computing it); a clamped move computes it.
@@ -464,11 +470,11 @@ def run_protocol(
     """
     initial = draw_initial_loads(scenario, config.seed)
     x = list(initial)
-    # Each step's tuple goes into one flat buffer, so that no Python object
-    # is kept per step; the records array is built from it once, at the end.
+    # Each step's packed frame goes into one flat buffer, so that no Python
+    # object is kept per step; the records array is built from it once.
     buffer = array("d")
     converged, feasible, steps = _trial_engine(
-        scenario, x, config, buffer.extend if record else None
+        scenario, x, config, buffer.frombytes if record else None
     )
     table = np.frombuffer(buffer).reshape(-1, 5 + scenario.n)
     agent = table[:, 0].astype(np.intp)

@@ -600,6 +600,18 @@ class TestFormatDoubles:
             ties.append(t.astype(np.float64) / 2.0 ** (s + 1))
         self.assert_formats(np.concatenate(ties))
 
+    def test_fallback_values(self):
+        # Whole columns outside the fast path's range, and the values that
+        # have no digits to scale, are formatted by ``%`` in one assignment.
+        rng = np.random.default_rng(6)
+        for magnitude in (1e-8, 1e-6, 1e16, 1e17):
+            column = rng.uniform(1, 9.9, 1000) * magnitude
+            self.assert_formats(np.concatenate((column, -column, [magnitude])))
+        subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+        self.assert_formats(np.concatenate((subnormals, -subnormals, special)))
+        self.assert_formats(special)
+
     @pytest.mark.parametrize("shift", [-1.0, 1.0])
     def test_exponent_estimate_off_by_one(self, shift):
         # Whatever log10 returns next to a power of ten, an exponent estimate

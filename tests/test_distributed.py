@@ -280,7 +280,7 @@ class TestRunProtocol:
             moves = []
 
             def spy(step):
-                n = step[0]
+                n = int(np.frombuffer(step)[0])
                 changed = [k for k in range(len(x)) if x[k] != before[k]]
                 assert changed in ([], [n])
                 moves.extend(changed)

@@ -1,10 +1,15 @@
+import hashlib
+import json
+import os
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from mrc_wpt import verify
-from mrc_wpt.circuit import solve_closed_form
+from helpers import assert_no_child_left
+from mrc_wpt import distributed, verify
+from mrc_wpt.circuit import solve_closed_form, solve_oracle
 from mrc_wpt.verify import run_verification
 
 
@@ -82,3 +87,57 @@ class TestRunVerification:
         assert not equiv.passed
         assert equiv.worst > 1e-7
         assert equiv.worst_scenario <= equiv.tolerance
+
+
+def on_cpus(cpus, scenario, trials, seed):
+    """``run_verification`` with ``_in_order`` seeing ``cpus`` usable CPUs."""
+    with mock.patch.object(distributed, "_usable_cpus", return_value=cpus):
+        return run_verification(scenario, trials=trials, seed=seed)
+
+
+class TestForkedVerification:
+    """``run_verification`` checks its samples in forked workers; its report
+    must equal that of the serial path, and no worker may outlive it."""
+
+    def test_equals_serial_path(self, fig2, fig3):
+        for scenario in (fig2, fig3):
+            for trials in (1, 7, 1000, verify._BLOCK + 1):
+                serial = on_cpus(1, scenario, trials, 11)
+                assert on_cpus(2, scenario, trials, 11) == serial
+                assert on_cpus(3, scenario, trials, 11) == serial
+                assert_no_child_left()
+
+    def test_reports_pinned(self, fig2, fig3):
+        # Recorded from the loop that checked every sample in one process.
+        pinned = (
+            (fig2, 301, "ec5e80bd9b78bb0e8eb2d970690d12addb39ab5bdd7e9f2da9cfae77f59e3919"),
+            (fig3, 7, "562f7ee09284b53fd30107067acbd8dbb905fe26bdb5a0ef1486ff08a385b5e6"),
+        )
+        for scenario, seed, expected in pinned:
+            report = on_cpus(2, scenario, 1000, seed)
+            assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == expected
+        assert_no_child_left()
+
+    def test_worker_exception_reaches_caller(self, fig2):
+        # Record the serial stream's loads, then fail one odd sample: with
+        # two workers the odd samples are checked in the forked child.
+        seen = []
+
+        def spy(scenario, loads):
+            seen.append(loads)
+            return solve_oracle(scenario, loads)
+
+        with mock.patch.object(verify, "solve_oracle", spy):
+            on_cpus(1, fig2, 40, 12)
+        k = 2 * int(np.random.default_rng(13).integers(20)) + 1
+        parent = os.getpid()
+
+        def failing(scenario, loads):
+            if loads == seen[k]:
+                raise ValueError(f"sample {k} in the caller: {os.getpid() == parent}")
+            return solve_oracle(scenario, loads)
+
+        with mock.patch.object(verify, "solve_oracle", failing):
+            with pytest.raises(ValueError, match=f"^sample {k} in the caller: False$"):
+                on_cpus(2, fig2, 40, 12)
+        assert_no_child_left()

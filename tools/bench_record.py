@@ -41,11 +41,14 @@ plus system time and ``tree_peak_rss_mb`` the largest peak resident set
 of any of them (``ru_maxrss``, KiB on Linux, in the 10^6-byte megabytes of
 the benchmark's own ``peak_rss_mb``, which reads ``RUSAGE_SELF`` and does
 not see its workers).  With ``--tier1`` it also runs
-the Tier-1 suite once in each side's exported tree, the parent first, and
-records per side its wall time, exit code, summary line and, under
-``slowest``, its five slowest test phases as pytest's ``--durations=5``
-reports them (node id, phase and seconds); the full pytest output goes to
-``.bench_out/tier1-<side>.log``.
+the Tier-1 suite twice in each side's exported tree, in the order parent,
+change, change, parent, so that a drift of the host's speed falls on both
+sides alike, and records per side both runs, each with its wall time, exit
+code, summary line and, under ``slowest``, its five slowest test phases as
+pytest's ``--durations=5`` reports them (node id, phase and seconds), and
+the time of the C5 fixture (the setup of the first C5 test, which runs
+every protocol trial of the acceptance comparison) as ``c5_fixture_s``; the
+full pytest output goes to ``.bench_out/tier1-<side>-<run>.log``.
 
 On a shared host the machine's speed can drift by tens of percent within
 minutes, so only the paired comparison says anything; the raw times are
@@ -72,6 +75,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 SLOWEST = 5
+TIER1_ORDER = ("parent", "change", "change", "parent")
+# The node whose setup phase is the C5 fixture of the acceptance tests.
+C5_NODE = "tests/test_acceptance.py::test_c5_fig3_distributed_never_beats_centralized"
 # A line of pytest's "slowest durations" section: "191.23s call     tests/...".
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(.+)$")
 PAIRS = 10
@@ -191,11 +197,13 @@ def run_tier1(tree: Path, log: Path) -> dict:
         {"node": m[3], "phase": m[2], "s": float(m[1])}
         for m in map(_DURATION.match, lines) if m
     ]
+    fixture = [d["s"] for d in slowest if d["node"] == C5_NODE and d["phase"] == "setup"]
     return {
         "command": "PYTHONPATH=src python " + " ".join(command),
         "wall_s": round(wall, 1),
         "exit_code": done.returncode,
         "summary": lines[-1] if lines else "",
+        "c5_fixture_s": fixture[0] if fixture else None,
         "slowest": slowest,
     }
 
@@ -281,8 +289,11 @@ def main(argv=None) -> int:
         if args.tier1:
             logs = ROOT / ".bench_out"
             logs.mkdir(exist_ok=True)
-            record["tier1"] = {side: run_tier1(tree, logs / f"tier1-{side}.log")
-                               for side, tree in trees.items()}
+            tier1: dict = {"order": list(TIER1_ORDER), "parent": [], "change": []}
+            for side in TIER1_ORDER:
+                log = logs / f"tier1-{side}-{len(tier1[side]) + 1}.log"
+                tier1[side].append(run_tier1(trees[side], log))
+            record["tier1"] = tier1
     (ROOT / args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
