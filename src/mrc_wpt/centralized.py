@@ -33,6 +33,7 @@ from .circuit import (
     PowerReport,
     ScenarioError,
     SystemScenario,
+    _columns,
     _input_resistance,
     coupling_ohms2,
     solve_closed_form,
@@ -91,9 +92,9 @@ class OptimizationResult(NamedTuple):
 def z_bracket(scenario: SystemScenario, dz: float) -> ZBracket:
     """Reciprocal-resistance bracket induced by the load box corners,
     checked to be steppable in steps of ``dz``."""
-    receivers = scenario.receivers
-    z_lo = 1.0 / _input_resistance(scenario, [rec.x_min for rec in receivers])
-    z_hi = 1.0 / _input_resistance(scenario, [rec.x_max for rec in receivers])
+    receivers, cols = scenario.receivers, _columns(scenario)
+    z_lo = 1.0 / _input_resistance(*cols, [rec.x_min for rec in receivers])
+    z_hi = 1.0 / _input_resistance(*cols, [rec.x_max for rec in receivers])
     if not (0.0 < z_lo <= z_hi):
         raise ScenarioError(f"invalid bracket [{z_lo}, {z_hi}]")
     if not (math.isfinite(dz) and dz > 0):

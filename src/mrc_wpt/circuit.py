@@ -25,14 +25,13 @@ effective input resistance seen by the source):
     p_tx = |v_tx|**2 / (2 * r_in)
     p_n  = |v_tx|**2 / 2 * (w*h_n)**2 * x_n / (r_n + x_n)**2 / r_in**2
 
-One body evaluates these in plain arithmetic, receivers in index order,
-and serves two entry points: ``solve_closed_form`` for one load vector and
-``closed_form_arrays`` for a stack of them, each giving ``r_in`` and the
-powers as a ``PowerReport``; the currents are ``v_tx`` times the first
-column of ``A^-1``, which ``admittance_first_column`` writes out.
-``solve_oracle`` answers the same question through a generic dense complex
-linear solve of ``A @ i = v`` and exists purely as an independent
-cross-check of the closed forms.
+One body evaluates these in plain arithmetic, receivers in index order:
+``solve_closed_form`` for one load vector, ``closed_form_arrays`` for a
+stack of them.  The currents are ``v_tx`` times the first column of
+``A^-1``, which ``admittance_first_column`` writes out.  ``solve_oracle``
+answers the same question by a dense complex solve of ``A @ i = v``, as an
+independent cross-check.  Each public function wraps a column function
+(``_columns``), which ``verify`` runs on stacks of systems of one N.
 """
 
 from __future__ import annotations
@@ -225,18 +224,81 @@ def coupling_ohms2(scenario: SystemScenario) -> tuple[float, ...]:
     return tuple([(w * rec.h) * (w * rec.h) for rec in scenario.receivers])
 
 
+def _columns(scenario: SystemScenario):
+    """``r_tx, w, h, r`` of ``scenario``.  The column functions below take these
+    and the loads ``x`` (``h``, ``r`` and ``x`` one entry per receiver), each a
+    float or an array of one shape ``S``, for a stack of systems of one N."""
+    recs = scenario.receivers
+    return scenario.tx.r_tx, scenario.w, [rec.h for rec in recs], [rec.r for rec in recs]
+
+
+def _input_resistance(r_tx, w, h, r, x):
+    """``r_tx + sum_k (w*h_k)**2 / (r_k + x_k)``, receivers added in index order."""
+    r_in = r_tx
+    for h_k, r_k, x_k in zip(h, r, x):
+        r_in = r_in + (w * h_k) * (w * h_k) / (r_k + x_k)
+    return r_in
+
+
+def _closed_form(v_mag, r_tx, w, h, r, x):
+    """``r_in``, the list of powers, ``p_tx`` and ``p_sum`` at the loads ``x``:
+    the one body of the closed form, for floats and for arrays alike."""
+    r_in = _input_resistance(r_tx, w, h, r, x)
+    half_v2 = 0.5 * v_mag * v_mag
+    rr = r_in * r_in
+    powers = []
+    p_sum = 0.0
+    for h_k, r_k, x_k in zip(h, r, x):
+        wh = w * h_k
+        d = r_k + x_k
+        p_k = half_v2 * (wh * wh) * x_k / (d * d) / rr
+        powers.append(p_k)
+        p_sum = p_sum + p_k
+    return r_in, powers, half_v2 / r_in, p_sum
+
+
+def _impedance_matrix(r_tx, w, h, r, x) -> np.ndarray:
+    """Impedance matrices, ``S + (N+1, N+1)``; ``-1j*w*h_k`` as Python's complex product."""
+    a = np.zeros(np.shape(r_tx) + (len(x) + 1,) * 2, dtype=complex)
+    a[..., 0, 0] = r_tx
+    for k in range(len(x)):
+        a.imag[..., 0, k + 1] = a.imag[..., k + 1, 0] = 0.0 + -w * h[k]
+        a[..., k + 1, k + 1] = r[k] + x[k]
+    return a
+
+
+def _admittance_column(r_tx, w, h, r, x) -> np.ndarray:
+    """``admittance_first_column`` on columns, of shape ``S + (N+1,)``."""
+    r_in = _input_resistance(r_tx, w, h, r, x)
+    col = np.zeros(np.shape(r_in) + (len(x) + 1,), dtype=complex)
+    col[..., 0] = 1.0 / r_in
+    for k in range(len(x)):
+        col.imag[..., k + 1] = w * h[k] / (r[k] + x[k]) / r_in
+    return col
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")  # as Python's floats raise
+def _oracle(v, x, a):
+    """``r_in``, the list of powers, ``p_tx`` and the currents ``i`` of ``a @ i
+    = [v, 0, ..., 0]``, solved by LAPACK.  The rest is written in the real
+    operations of Python's complex ones: ``v / i_0`` divides by the larger
+    part of ``i_0``, and ``abs(i_n) ** 2`` is ``pow(hypot(...), 2)``."""
+    rhs = np.zeros(a.shape[:-1] + (1,), dtype=complex)
+    rhs[..., 0, 0] = v
+    i = np.linalg.solve(a, rhs)[..., 0]
+    v_re, v_im, i_re, i_im = np.real(v), np.imag(v), i[..., 0].real, i[..., 0].imag
+    big = abs(i_re) >= abs(i_im)
+    p, q = np.where(big, i_re, i_im), np.where(big, i_im, i_re)
+    s, t = np.where(big, v_re, v_im), np.where(big, v_im, v_re)
+    ratio = q / p
+    powers = [0.5 * x[k] * np.float_power(np.hypot(i[..., k + 1].real, i[..., k + 1].imag), 2.0)
+              for k in range(len(x))]
+    return (s + t * ratio) / (p + q * ratio), powers, 0.5 * (v_re * i_re - v_im * -i_im), i
+
+
 def build_impedance_matrix(scenario: SystemScenario, loads) -> np.ndarray:
     """Assemble the (N+1)x(N+1) complex mesh impedance matrix at resonance."""
-    xs = as_loads(scenario, loads)
-    n = scenario.n
-    a = np.zeros((n + 1, n + 1), dtype=complex)
-    a[0, 0] = scenario.tx.r_tx
-    for k, rec in enumerate(scenario.receivers):
-        coupling = -1j * scenario.w * rec.h
-        a[0, k + 1] = coupling
-        a[k + 1, 0] = coupling
-        a[k + 1, k + 1] = rec.r + xs[k]
-    return a
+    return _impedance_matrix(*_columns(scenario), as_loads(scenario, loads))
 
 
 def det_impedance(scenario: SystemScenario, loads) -> float:
@@ -247,34 +309,7 @@ def det_impedance(scenario: SystemScenario, loads) -> float:
     """
     xs = as_loads(scenario, loads)
     prod = math.prod(rec.r + x for rec, x in zip(scenario.receivers, xs))
-    return _input_resistance(scenario, xs) * prod
-
-
-def _input_resistance(scenario: SystemScenario, cols):
-    """``r_tx + sum_k (w*h_k)**2 / (r_k + cols[k])``, receivers added in index
-    order; ``cols[k]``, receiver k's load, is a float or an array of one shape."""
-    wh2 = coupling_ohms2(scenario)
-    r_in = scenario.tx.r_tx
-    for k, rec in enumerate(scenario.receivers):
-        r_in = r_in + wh2[k] / (rec.r + cols[k])
-    return r_in
-
-
-def _closed_form(scenario: SystemScenario, cols):
-    """``r_in``, the list of powers, ``p_tx`` and ``p_sum`` at the loads ``cols``:
-    the one body of the closed form, for floats and for arrays alike."""
-    r_in = _input_resistance(scenario, cols)
-    wh2 = coupling_ohms2(scenario)
-    half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
-    rr = r_in * r_in
-    powers = []
-    p_sum = 0.0
-    for k, rec in enumerate(scenario.receivers):
-        d = rec.r + cols[k]
-        p_k = half_v2 * wh2[k] * cols[k] / (d * d) / rr
-        powers.append(p_k)
-        p_sum = p_sum + p_k
-    return r_in, powers, half_v2 / r_in, p_sum
+    return _input_resistance(*_columns(scenario), xs) * prod
 
 
 def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
@@ -284,7 +319,8 @@ def solve_closed_form(scenario: SystemScenario, loads) -> PowerReport:
     reproduces these expressions exactly, so power values computed there
     are bit-identical to this function's.
     """
-    r_in, powers, p_tx, p_sum = _closed_form(scenario, as_loads(scenario, loads))
+    xs = as_loads(scenario, loads)
+    r_in, powers, p_tx, p_sum = _closed_form(scenario.tx.v_mag, *_columns(scenario), xs)
     return PowerReport(r_in=r_in, p=tuple(powers), p_tx=p_tx, p_sum=p_sum)
 
 
@@ -305,38 +341,25 @@ def closed_form_arrays(scenario: SystemScenario, loads) -> PowerReport:
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ScenarioError(f"x[{where[-1]}] must be > 0 (got {x[where]})")
-    r_in, powers, p_tx, p_sum = _closed_form(scenario, np.moveaxis(x, -1, 0))
+    cols = np.moveaxis(x, -1, 0)
+    r_in, powers, p_tx, p_sum = _closed_form(scenario.tx.v_mag, *_columns(scenario), cols)
     return PowerReport(r_in=r_in, p=np.stack(powers, axis=-1), p_tx=p_tx, p_sum=p_sum)
 
 
 def solve_oracle(scenario: SystemScenario, loads) -> tuple[PowerReport, np.ndarray]:
     """Powers and the current vector from a generic dense complex linear solve.
 
-    Independent of the closed forms: builds the impedance matrix, solves
-    ``A @ i = v`` with LAPACK, and derives the rest from definitions
-    (``r_in = Re{v_tx / i_0}``, ``p_tx = Re{v_tx * conj(i_0)}/2``,
-    ``p_n = x_n |i_n|^2 / 2``).  Returns the report and the currents
-    ``i = [i_0, i_1, ..., i_N]``, ``i_0`` the transmitter's.  A singular matrix (impossible for valid
-    scenarios, where det > 0) surfaces as ``numpy.linalg.LinAlgError`` and
-    signals an invariant breach.
+    Independent of the closed forms: solves ``A @ i = v`` with LAPACK and
+    derives the rest from definitions (``r_in = Re{v_tx / i_0}``, ``p_tx =
+    Re{v_tx * conj(i_0)}/2``, ``p_n = x_n |i_n|^2 / 2``).  Returns the report
+    and the currents ``i = [i_0, ..., i_N]``, ``i_0`` the transmitter's.  A
+    singular matrix (impossible for valid scenarios, where det > 0) raises
+    ``numpy.linalg.LinAlgError``.
     """
     xs = as_loads(scenario, loads)
-    a = build_impedance_matrix(scenario, xs)
-    rhs = np.zeros(scenario.n + 1, dtype=complex)
-    rhs[0] = scenario.tx.v_tx
-    currents = np.linalg.solve(a, rhs)
-
-    v, i_0 = scenario.tx.v_tx, complex(currents[0])
-    powers = [
-        0.5 * xs[k] * abs(complex(currents[k + 1])) ** 2 for k in range(scenario.n)
-    ]
-    report = PowerReport(
-        r_in=(v / i_0).real,
-        p=tuple(powers),
-        p_tx=0.5 * (v * i_0.conjugate()).real,
-        p_sum=math.fsum(powers),
-    )
-    return report, currents
+    r_in, p, p_tx, i = _oracle(scenario.tx.v_tx, xs, build_impedance_matrix(scenario, xs))
+    p = [float(p_n) for p_n in p]
+    return PowerReport(float(r_in), tuple(p), float(p_tx), math.fsum(p)), i
 
 
 def admittance_first_column(scenario: SystemScenario, loads) -> np.ndarray:
@@ -346,10 +369,4 @@ def admittance_first_column(scenario: SystemScenario, loads) -> np.ndarray:
     current vector is this column scaled by ``v_tx``; it is the package's
     one closed form of the currents.
     """
-    xs = as_loads(scenario, loads)
-    r_in = _input_resistance(scenario, xs)
-    col = np.empty(scenario.n + 1, dtype=complex)
-    col[0] = 1.0 / r_in
-    for k, rec in enumerate(scenario.receivers):
-        col[k + 1] = 1j * scenario.w * rec.h / (rec.r + xs[k]) / r_in
-    return col
+    return _admittance_column(*_columns(scenario), as_loads(scenario, loads))

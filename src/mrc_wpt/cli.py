@@ -7,7 +7,7 @@ manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
 rows at a time; ``simulate`` writes its trace while forked workers run its
-other trials, and ``verify`` checks its samples on every usable CPU.
+other trials.
 """
 
 from __future__ import annotations

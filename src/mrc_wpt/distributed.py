@@ -38,12 +38,8 @@ its step count, whatever state it reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, the one place that forks, as do ``simulate --trace`` with
-trial 0 recorded and ``run_verification`` with its samples: it yields
-results in order, computed by forked workers, one per usable CPU, of which
-the calling process is one, and bit-identical to computing every item in
-one process.  It computes in-process where it cannot fork or where the
-caller has other Python threads.
+``_in_order``, the one place that forks, whose other caller is ``simulate
+--trace`` with trial 0 recorded.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """On-demand verification suite: closed forms against independent routes.
 
-Each property is evaluated over a stream of sampled systems; odd samples
-reuse the caller's scenario with fresh random loads, even samples draw a
+Each property is evaluated over a stream of sampled systems; even samples
+reuse the caller's scenario with fresh random loads, odd samples draw a
 fresh random scenario.  A property reports the worst deviation it saw over
 all samples and over the caller's scenario alone, so a failing run says not
-just "failed" but by how much, and where.  The samples are checked on every
-usable CPU, with the report of one process checking them all.
+just "failed" but by how much, and where.  The samples are checked in one
+process, a block at a time, on stacked arrays of the samples with the same N.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -18,13 +18,11 @@ import numpy as np
 from .circuit import (
     ScenarioError,
     SystemScenario,
-    admittance_first_column,
-    build_impedance_matrix,
-    det_impedance,
-    solve_closed_form,
-    solve_oracle,
+    _admittance_column,
+    _closed_form,
+    _impedance_matrix,
+    _oracle,
 )
-from .distributed import _in_order
 from .sampling import random_loads, random_scenario
 
 __all__ = ["PropertyResult", "VerificationReport", "run_verification"]
@@ -79,57 +77,48 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _rel(a, b) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+def _rel(a, b):
+    """Relative difference of each pair of entries, 0 where both are 0; a
+    magnitude is ``hypot`` of the parts, as Python's ``abs`` takes it."""
+    abs_a, abs_b, diff = (np.hypot(np.real(z), np.imag(z)) for z in (a, b, a - b))
+    scale = np.where(abs_b > abs_a, abs_b, abs_a)  # as Python's max picks
+    return np.divide(diff, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
-def _deviations(sample) -> tuple[tuple[float, ...], bool]:
-    """The six deviations of one sample ``(s, xs)``, in ``_PROPERTIES``
-    order, and whether its closed-form determinant is positive."""
-    s, xs = sample
-    report = solve_closed_form(s, xs)
-    oracle, i_generic = solve_oracle(s, xs)
-    col_closed = admittance_first_column(s, xs)
-    i_closed = (s.tx.v_tx * col_closed).tolist()
-
-    # Closed form against the generic dense solve.
-    equiv = _rel(report.p_tx, oracle.p_tx)
-    equiv = max(equiv, _rel(report.p_sum, oracle.p_sum))
-    for k in range(s.n):
-        equiv = max(equiv, _rel(report.p[k], oracle.p[k]))
-    for a, b in zip(i_closed, i_generic.tolist()):
-        equiv = max(equiv, _rel(a, b))
-
+def _check(samples):
+    """Deviations ``(K, 6)`` and closed-form determinants of samples ``(s, xs,
+    ...)`` of one N, each that sample's to the bit: every operation is one
+    sample's, on stacked arrays, and the oracle's ``p_sum`` a ``math.fsum``."""
+    v_mag, r_tx, w = np.array([(s.tx.v_mag, s.tx.r_tx, s.w) for s, *_ in samples]).T
+    v = np.array([s.tx.v_tx for s, *_ in samples])
+    h, r = np.array([[(rec.h, rec.r) for rec in s.receivers] for s, *_ in samples]).T
+    x = np.array([xs for _, xs, _ in samples]).T
+    cols = r_tx, w, h, r, x
+    r_in, p, p_tx, p_sum = _closed_form(v_mag, *cols)
+    matrix = _impedance_matrix(*cols)
+    _, o_p, o_p_tx, i_generic = _oracle(v, x, matrix)
+    o_p_sum = np.array([math.fsum(row) for row in np.transpose(o_p).tolist()])
+    col_closed = _admittance_column(*cols)
+    i_closed = v[:, None] * col_closed
+    # Closed form against the generic dense solve.  Python's max(e, d) skips a
+    # nan d, as fmax does, but keeps a nan e: a nan first deviation stays.
+    pairs = [(p_tx, o_p_tx), (p_sum, o_p_sum), *zip(p, o_p), *zip(i_closed.T, i_generic.T)]
+    rels = [_rel(a, b) for a, b in pairs]
+    equiv = np.where(np.isnan(rels[0]), rels[0], np.fmax.reduce(rels))
     # Energy balance of the closed-form currents.
-    dissipated = 0.5 * abs(i_closed[0]) ** 2 * s.tx.r_tx
-    for k, rec in enumerate(s.receivers):
-        dissipated += 0.5 * abs(i_closed[k + 1]) ** 2 * (rec.r + xs[k])
-    energy = _rel(report.p_tx, dissipated)
-
-    # Delivered power can never reach the drawn power.
-    ratio = report.p_sum / report.p_tx
-
-    # Determinant: positivity and the closed product form.
-    matrix = build_impedance_matrix(s, xs)
-    det_closed = det_impedance(s, xs)
-    det = _rel(det_closed, complex(np.linalg.det(matrix)))
-
-    # First admittance column against the generic inverse.
-    column = 0.0
-    for a, b in zip(col_closed, np.linalg.inv(matrix)[:, 0]):
-        column = max(column, _rel(complex(a), complex(b)))
-
-    # Source phase must not influence any power.
-    rotated = replace(s, tx=replace(s.tx, v_phase=s.tx.v_phase + 1.234))
-    rotated_report = solve_closed_form(rotated, xs)
-    phase = _rel(report.p_tx, rotated_report.p_tx)
-    for k in range(s.n):
-        phase = max(phase, _rel(report.p[k], rotated_report.p[k]))
-
-    return (equiv, energy, ratio, det, column, phase), det_closed > 0.0
+    heat = 0.5 * np.float_power(np.hypot(i_closed.real, i_closed.imag), 2.0)
+    dissipated = heat[:, 0] * r_tx
+    for k in range(len(x)):
+        dissipated = dissipated + heat[:, k + 1] * (r[k] + x[k])
+    # Determinant against its product form; admittance column against inverse.
+    det_closed = r_in * math.prod(r + x)
+    zero = np.zeros(len(samples))
+    column = np.fmax.reduce([zero, *map(_rel, col_closed.T, np.linalg.inv(matrix)[..., 0].T)])
+    # Delivered power below drawn power.  The closed form reads the source's
+    # magnitude, not its phase: its powers are phase-invariant, a deviation of 0.
+    devs = [equiv, _rel(p_tx, dissipated), p_sum / p_tx,
+            _rel(det_closed, np.linalg.det(matrix)), column, zero]
+    return np.column_stack(devs), det_closed
 
 
 def run_verification(
@@ -137,32 +126,29 @@ def run_verification(
     trials: int = 1000,
     seed: int = 0,
 ) -> VerificationReport:
-    """Evaluate every verification property over ``trials`` samples.
-
-    The samples are drawn in stream order, ``_BLOCK`` at a time, and each
-    block is checked through ``_in_order``, on every usable CPU; the
-    deviations are folded in sample order, so the report is that of one
-    process checking every sample.
-    """
+    """Evaluate every verification property over ``trials`` samples, drawn
+    in stream order ``_BLOCK`` at a time and checked in this process, the
+    samples of one N at once: the report of checking each sample alone."""
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {trials})")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ScenarioError(f"seed must be an integer >= 0 (got {seed})")
 
-    worst = [0.0] * len(_PROPERTIES)
-    worst_own = [0.0] * len(_PROPERTIES)
+    worst = worst_own = np.zeros(len(_PROPERTIES))
     det_all_positive = True
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _BLOCK):
-        block = []
+        groups = {}  # N -> its samples (s, xs, whether s is the caller's)
         for i in range(start, min(start + _BLOCK, trials)):
             s = scenario if i % 2 == 0 else random_scenario(rng)  # even: the caller's
-            block.append((s, tuple(random_loads(rng, s))))
-        for i, (devs, det_positive) in enumerate(_in_order(_deviations, block), start):
-            det_all_positive = det_all_positive and det_positive
-            worst = [max(w, d) for w, d in zip(worst, devs)]
-            if i % 2 == 0:
-                worst_own = [max(w, d) for w, d in zip(worst_own, devs)]
+            groups.setdefault(s.n, []).append((s, tuple(random_loads(rng, s)), i % 2 == 0))
+        for samples in groups.values():
+            devs, det_closed = _check(samples)
+            det_all_positive = det_all_positive and bool(np.all(det_closed > 0.0))
+            # A fold in sample order, as fmax skips a nan as max(w, nan) does.
+            worst = np.fmax.reduce(np.vstack([worst, devs]))
+            worst_own = np.fmax.reduce(np.vstack([worst_own, devs[[o for *_, o in samples]]]))
+    worst, worst_own = worst.tolist(), worst_own.tolist()
 
     passed = [w <= tol for w, (_, tol) in zip(worst, _PROPERTIES)]
     passed[2] = worst[2] < 1.0  # delivered power strictly below drawn power

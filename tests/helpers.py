@@ -1,6 +1,8 @@
+import math
 import os
 import struct
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 
 from mrc_wpt import distributed
 from mrc_wpt.centralized import check_feasibility, z_bracket
-from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
+from mrc_wpt.circuit import PowerReport, det_impedance, solve_closed_form
+from mrc_wpt.sampling import random_loads, random_scenario, with_feasible_thresholds
+from mrc_wpt.verify import _PROPERTIES, PropertyResult, VerificationReport
 
 
 def rel(a, b) -> float:
@@ -94,3 +98,123 @@ def dz_resolvable_instance(rng, n_receivers=None, dz=1e-3, max_steps=1000):
             run_end += 1
         if (run_end - first) * (dz / 10.0) >= 1.5 * dz:
             return scenario, witness
+
+
+def scalar_matrix(s, xs):
+    """The impedance matrix, built entry by entry in Python's complex arithmetic."""
+    a = np.zeros((s.n + 1, s.n + 1), dtype=complex)
+    a[0, 0] = s.tx.r_tx
+    for k, rec in enumerate(s.receivers):
+        a[0, k + 1] = a[k + 1, 0] = -1j * s.w * rec.h
+        a[k + 1, k + 1] = rec.r + xs[k]
+    return a
+
+
+def scalar_admittance(s, xs):
+    """The closed-form first column of the inverse matrix, entry by entry in
+    Python's complex arithmetic."""
+    r_in = solve_closed_form(s, xs).r_in
+    return np.array([1.0 / r_in] + [1j * s.w * rec.h / (rec.r + x) / r_in
+                                    for rec, x in zip(s.receivers, xs)])
+
+
+def scalar_oracle(s, xs):
+    """``solve_oracle`` with its powers derived in Python's complex arithmetic."""
+    rhs = np.zeros(s.n + 1, dtype=complex)
+    rhs[0] = s.tx.v_tx
+    currents = np.linalg.solve(scalar_matrix(s, xs), rhs)
+    v, i_0 = s.tx.v_tx, complex(currents[0])
+    powers = [0.5 * xs[k] * abs(complex(currents[k + 1])) ** 2 for k in range(s.n)]
+    report = PowerReport((v / i_0).real, tuple(powers), 0.5 * (v * i_0.conjugate()).real,
+                         math.fsum(powers))
+    return report, currents
+
+
+def deviations(sample) -> tuple[tuple[float, ...], bool]:
+    """The six verification deviations of one sample ``(s, xs)``, in
+    ``_PROPERTIES`` order, and whether its closed-form determinant is
+    positive: the per-sample reference of ``run_verification``'s check, with
+    the oracle, matrix and admittance column in Python's complex arithmetic."""
+    s, xs = sample
+    report = solve_closed_form(s, xs)
+    oracle, i_generic = scalar_oracle(s, xs)
+    col_closed = scalar_admittance(s, xs)
+    i_closed = (s.tx.v_tx * col_closed).tolist()
+
+    # Closed form against the generic dense solve.
+    equiv = rel(report.p_tx, oracle.p_tx)
+    equiv = max(equiv, rel(report.p_sum, oracle.p_sum))
+    for k in range(s.n):
+        equiv = max(equiv, rel(report.p[k], oracle.p[k]))
+    for a, b in zip(i_closed, i_generic.tolist()):
+        equiv = max(equiv, rel(a, b))
+
+    # Energy balance of the closed-form currents.
+    dissipated = 0.5 * abs(i_closed[0]) ** 2 * s.tx.r_tx
+    for k, rec in enumerate(s.receivers):
+        dissipated += 0.5 * abs(i_closed[k + 1]) ** 2 * (rec.r + xs[k])
+    energy = rel(report.p_tx, dissipated)
+
+    # Delivered power can never reach the drawn power.
+    ratio = report.p_sum / report.p_tx
+
+    # Determinant: positivity and the closed product form.
+    matrix = scalar_matrix(s, xs)
+    det_closed = det_impedance(s, xs)
+    det = rel(det_closed, complex(np.linalg.det(matrix)))
+
+    # First admittance column against the generic inverse.
+    column = 0.0
+    for a, b in zip(col_closed, np.linalg.inv(matrix)[:, 0]):
+        column = max(column, rel(complex(a), complex(b)))
+
+    # Source phase must not influence any power.
+    rotated = replace(s, tx=replace(s.tx, v_phase=s.tx.v_phase + 1.234))
+    rotated_report = solve_closed_form(rotated, xs)
+    phase = rel(report.p_tx, rotated_report.p_tx)
+    for k in range(s.n):
+        phase = max(phase, rel(report.p[k], rotated_report.p[k]))
+
+    return (equiv, energy, ratio, det, column, phase), det_closed > 0.0
+
+
+def reference_report(scenario, trials, seed) -> VerificationReport:
+    """``run_verification``'s report from ``deviations``, one sample at a
+    time, folded in sample order over the same sample stream."""
+    worst = [0.0] * len(_PROPERTIES)
+    worst_own = [0.0] * len(_PROPERTIES)
+    det_all_positive = True
+    rng = np.random.default_rng(seed)
+    for i in range(trials):
+        s = scenario if i % 2 == 0 else random_scenario(rng)
+        devs, det_positive = deviations((s, tuple(random_loads(rng, s))))
+        det_all_positive = det_all_positive and det_positive
+        worst = [max(w, d) for w, d in zip(worst, devs)]
+        if i % 2 == 0:
+            worst_own = [max(w, d) for w, d in zip(worst_own, devs)]
+    passed = [w <= tol for w, (_, tol) in zip(worst, _PROPERTIES)]
+    passed[2] = worst[2] < 1.0
+    passed[3] = passed[3] and det_all_positive
+    return VerificationReport(results=tuple(
+        PropertyResult(name, trials, w, w_own, tol, ok)
+        for (name, tol), w, w_own, ok in zip(_PROPERTIES, worst, worst_own, passed)
+    ))
+
+
+def exact_closed_form(scenario, loads):
+    """``r_in``, the powers, ``p_tx`` and ``p_sum`` of the closed form in exact
+    rational arithmetic: every input is a double, so a ``Fraction``, and the
+    closed form uses only +, -, * and /."""
+    w, half_v2 = Fraction(scenario.w), Fraction(scenario.tx.v_mag) ** 2 / 2
+    wh2 = [(w * Fraction(rec.h)) ** 2 for rec in scenario.receivers]
+    d = [Fraction(rec.r) + Fraction(x) for rec, x in zip(scenario.receivers, loads)]
+    r_in = Fraction(scenario.tx.r_tx) + sum(c / d_k for c, d_k in zip(wh2, d))
+    p = [half_v2 * c * Fraction(x) / (d_k * d_k) / (r_in * r_in)
+         for c, d_k, x in zip(wh2, d, loads)]
+    return r_in, p, half_v2 / r_in, sum(p)
+
+
+def ulps(value, exact) -> float:
+    """Distance of the double ``value`` from the rational ``exact`` in units
+    of the last place of ``exact``'s nearest double."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))

@@ -33,6 +33,13 @@ gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
 metrics from its traced run, and which side's traced run went first.
+Per workload and side it also holds the median and quartiles, over the
+untraced runs, of each first-round operation's time
+(``raw.first_round_op_s`` of the run's ``.bench_out/result-<workload>-
+seed<S>-trace0.json``, at most the first 20 operations), named for
+``cli`` by its operations and numbered for the other workloads; so a
+single operation, such as ``cli``'s verify, has a figure from every run
+and not just from the one traced run.
 Each run is started with ``subprocess.Popen`` and reaped with
 ``os.wait4``, whose resource usage covers the benchmark
 process and every process it forked and waited for, so work and memory
@@ -82,6 +89,8 @@ C5_NODE = "tests/test_acceptance.py::test_c5_fig3_distributed_never_beats_centra
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(.+)$")
 PAIRS = 10
 IMPORTS = 15
+# The operations of one round, in the order the benchmark times them.
+OP_NAMES = {"cli": ("sweep", "optimize", "simulate", "verify", "replay")}
 _TIME_IMPORT = (
     "import time, numpy; t = time.perf_counter(); import mrc_wpt; "
     "print(time.perf_counter() - t)"
@@ -128,7 +137,8 @@ def import_ms(trees: dict[str, Path]) -> dict[str, float]:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one benchmark run in ``tree``, with the ``cpu_s``
-    and ``tree_peak_rss_mb`` of the run's own process tree."""
+    and ``tree_peak_rss_mb`` of the run's own process tree and, untraced, the
+    first round's operation times."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -140,10 +150,14 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int =
         lines = out.read().decode().strip().splitlines()
         if proc.returncode != 0 or not lines:
             raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{err.read().decode()}")
-    return json.loads(lines[-1]) | {
+    line = json.loads(lines[-1]) | {
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "tree_peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
     }
+    if not trace:  # an untraced run's record keeps its first round's operation times
+        result = tree / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
+        line["first_round_op_s"] = json.loads(result.read_text())["raw"]["first_round_op_s"]
+    return line
 
 
 def spread(values: list[float]) -> dict:
@@ -151,7 +165,14 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
+def op_times(workload: str, runs: list[dict]) -> dict:
+    """Median and quartiles of each first-round operation's time over ``runs``."""
+    ops = [r["first_round_op_s"] for r in runs]
+    names = OP_NAMES.get(workload, range(min(map(len, ops))))
+    return {str(name): spread([o[k] for o in ops]) for k, name in enumerate(names)}
+
+
+def summarize(spec: dict, workload: str, runs: dict[str, list[dict]]) -> dict:
     """Per-metric medians and quartiles of both sides, and pairs won."""
     metrics = {}
     for m in spec["end_to_end"]:
@@ -179,6 +200,7 @@ def summarize(spec: dict, runs: dict[str, list[dict]]) -> dict:
         "tree_peak_rss_mb": {
             side: spread([r["tree_peak_rss_mb"] for r in rs]) for side, rs in runs.items()
         },
+        "first_round_op_s": {side: op_times(workload, rs) for side, rs in runs.items()},
     }
 
 
@@ -276,7 +298,7 @@ def main(argv=None) -> int:
                           f"cpu_s {result['cpu_s']:.3f}, "
                           f"tree_peak_rss_mb {result['tree_peak_rss_mb']:.1f}",
                           file=sys.stderr, flush=True)
-            record["workloads"][workload] = summarize(spec, runs)
+            record["workloads"][workload] = summarize(spec, workload, runs)
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             traced = {side: run_bench(trees[side], workload, args.seed, seconds, trace=1)
                       for side in order}
