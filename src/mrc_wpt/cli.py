@@ -6,8 +6,9 @@ version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
-rows at a time; ``simulate`` writes its trace while forked workers run its
-other trials.
+rows at a time.  ``simulate --trace`` runs its traced trial's engine in a
+forked child and writes each block of the trace, in bounded memory, as the
+child records the next, while forked workers run its other trials.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .distributed import (
     ProtocolConfig,
     _in_order,
     _load_matrix,
+    _recorded_blocks,
+    draw_initial_loads,
     run_protocol,
     summarize,
 )
@@ -132,35 +135,50 @@ def _format_counts(v: np.ndarray) -> np.ndarray:
     return words.view(f"S{words.itemsize * words.shape[1]}").ravel()
 
 
-def _write_csv(path: str, manifest: str, header: list[str], columns) -> None:
+def _write_csv(path: str, manifest: str, header: list[str], blocks) -> None:
     """Write the ``manifest`` line, the header, then one row per element of
-    the equal-length ``columns``: doubles as ``%.16e`` (17 significant
-    digits, which round-trip), integers in decimal and bytes as they are.
-    A scalar is a column of one row.
+    the equal-length columns of each of ``blocks`` in turn: doubles as
+    ``%.16e`` (17 significant digits, which round-trip), integers in decimal
+    and bytes as they are.  A scalar is a column of one row.
 
     No field needs quoting and lines end in CRLF, so the body is what
     ``csv.writer`` writes for the same fields.  Rows are formatted and
-    written ``_BLOCK`` at a time, each field as a fixed-width byte column
-    whose padding is dropped when the block's fields are joined.
+    written at most ``_BLOCK`` at a time, each field as a fixed-width byte
+    column whose padding is dropped when the block's fields are joined.
     """
-    columns = [np.atleast_1d(c) for c in columns]
     with open(path, "wb") as fh:
         fh.write(f"{manifest}\n{','.join(header)}\r\n".encode())
-        for start in range(0, len(columns[0]), _BLOCK):
-            parts = []
-            for c in columns:
-                c = c[start:start + _BLOCK]
-                if c.dtype.kind == "f":
-                    c = _format_doubles(c)
-                elif c.dtype.kind in "iu" and c.min() >= 0:
-                    c = _format_counts(c)
-                elif c.dtype.kind != "S":
-                    c = c.astype("S20")
-                comma = np.full((len(c), 1), ord(","), np.uint8)
-                parts += [c.view(np.uint8).reshape(len(c), -1), comma]
-            lines = np.hstack(parts + [comma])
-            lines[:, -2:] = (ord("\r"), ord("\n"))
-            fh.write(lines[lines != 0].tobytes())
+        for columns in blocks:
+            columns = [np.atleast_1d(c) for c in columns]
+            for start in range(0, len(columns[0]), _BLOCK):
+                parts = []
+                for c in columns:
+                    c = c[start:start + _BLOCK]
+                    if c.dtype.kind == "f":
+                        c = _format_doubles(c)
+                    elif c.dtype.kind in "iu" and c.min() >= 0:
+                        c = _format_counts(c)
+                    elif c.dtype.kind != "S":
+                        c = c.astype("S20")
+                    comma = np.full((len(c), 1), ord(","), np.uint8)
+                    parts += [c.view(np.uint8).reshape(len(c), -1), comma]
+                lines = np.hstack(parts + [comma])
+                lines[:, -2:] = (ord("\r"), ord("\n"))
+                fh.write(lines[lines != 0].tobytes())
+
+
+def _trace_columns(scenario, initial, blocks):
+    """The trace's columns for each of ``blocks``, a run's ``records`` from the
+    ``initial`` loads: ``iter``, agent, feedback bits, case, loads and powers."""
+    names = np.array([case.name for case in Case], "S")  # Case values are 1, 2, ...
+    last, done = initial, 0
+    for records in blocks:
+        loads = _load_matrix(last, records["x_new"], done % scenario.n)[1:]
+        powers = closed_form_arrays(scenario, loads)
+        bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
+        yield (np.arange(done + 1, done + len(records) + 1), records["agent"] + 1,
+               bits.ravel(), names[records["case"] - 1], *loads.T, powers.p_tx, *powers.p.T)
+        last, done = loads[-1], done + len(records)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -241,7 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (args.out,),
     )
     header = [f"x_{args.receiver}", "p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)] + ["p_sum"]
-    _write_csv(args.out, manifest, header, (grid, powers.p_tx, *powers.p.T, powers.p_sum))
+    _write_csv(args.out, manifest, header, [(grid, powers.p_tx, *powers.p.T, powers.p_sum)])
     return 0
 
 
@@ -258,7 +276,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         row = (b"optimal", result.z_star, result.report.p_tx, *result.loads, *result.report.p)
     else:
         row = (b"infeasible",) + (b"",) * (2 + 2 * scenario.n)
-    _write_csv(args.out, manifest, header, row)
+    _write_csv(args.out, manifest, header, [row])
     if not result.is_optimal:
         print(
             f"optimize: no feasible load setting ({result.iterations} candidates examined)",
@@ -281,30 +299,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outputs = (args.out,) + ((args.trace,) if args.trace else ())
     manifest = _manifest_line("simulate", str(args.scenario), parameters, outputs)
 
+    header = (["iter", "n", "fb_bits", "case"] + [f"x_{k + 1}" for k in range(scenario.n)]
+              + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
+
     def trial(k):
-        recorded = k == 0 and bool(args.trace)
-        return run_protocol(scenario, replace(config, seed=config.seed + k), record=recorded)
+        run = replace(config, seed=config.seed + k)
+        if k or not args.trace:
+            return run_protocol(scenario, run, record=False).result
+        outcome = []
+        with closing(_recorded_blocks(scenario, run, _BLOCK, outcome)) as blocks:
+            columns = _trace_columns(scenario, draw_initial_loads(scenario, run.seed), blocks)
+            _write_csv(args.trace, manifest, header, columns)
+        return outcome[0]
 
     # Trial 0, the traced one, runs in this process, which writes its trace
-    # while forked workers run the others.
-    with closing(_in_order(trial, range(args.trials))) as runs:
-        first = next(runs)
-        if args.trace:
-            header = (
-                ["iter", "n", "fb_bits", "case"]
-                + [f"x_{k + 1}" for k in range(scenario.n)]
-                + ["p_tx"]
-                + [f"p_{k + 1}" for k in range(scenario.n)]
-            )
-            records = first.records
-            loads = _load_matrix(first.initial, records["x_new"])[1:]
-            powers = closed_form_arrays(scenario, loads)
-            bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
-            names = np.array([case.name for case in Case], "S")  # Case values are 1, 2, ...
-            columns = (np.arange(1, len(records) + 1), records["agent"] + 1, bits.ravel(),
-                       names[records["case"] - 1], *loads.T, powers.p_tx, *powers.p.T)
-            _write_csv(args.trace, manifest, header, columns)
-        results = [run.result for run in (first, *runs)]
+    # block by block as the engine's child records it, while forked workers
+    # run the others.
+    results = list(_in_order(trial, range(args.trials)))
 
     try:
         summary = summarize(results)
@@ -316,7 +327,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.out,
         manifest,
         ["trials", "n_feasible", "n_infeasible", "n_converged", "mean_ptx_feasible"],
-        summary[:5],
+        [summary[:5]],
     )
     return 0
 

@@ -22,8 +22,7 @@ and the step around it twice.  ``_trial_engine``, the one simulator, reads a
 scenario and its ``ProtocolConfig``, and ``run_protocol`` runs it: bare, as
 for every trial of ``batch_run``, or with a step recorder that appends one
 packed frame per step, the step's doubles as bytes, to a flat buffer, from
-which the trace's ``records`` array is built once, and which ``simulate
---trace`` writes out.
+which ``_records`` builds the trace's ``records`` array once.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -38,13 +37,18 @@ its step count, whatever state it reaches.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, the one place that forks, whose other caller is ``simulate
---trace`` with trial 0 recorded.
+``_in_order``, as ``simulate`` maps its trials.  ``simulate --trace`` runs
+its traced trial's engine through ``_recorded_blocks`` in a child, whose
+frames ``_records`` decodes block by block as they arrive, so the trace is
+written in bounded memory.  Both fork through ``_forked``, the one place
+that forks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import io
 import math
 import os
 import pickle
@@ -332,11 +336,11 @@ def _trial_engine(scenario, x, config, on_step=None):
     return converged, n_hungry == 0, steps
 
 
-def _load_matrix(initial, x_new) -> np.ndarray:
+def _load_matrix(initial, x_new, first=0) -> np.ndarray:
     """Loads before the first step (row 0) and after each step k (row k).
 
-    Step k sets entry ``(k-1) % N``, the protocol's round-robin agent, to
-    ``x_new[k-1]``; every other entry keeps its previous value.
+    Step k sets entry ``(first + k - 1) % N``, the protocol's round-robin
+    agent, to ``x_new[k-1]``; every other entry keeps its previous value.
     """
     n = len(initial)
     steps = len(x_new)
@@ -346,7 +350,7 @@ def _load_matrix(initial, x_new) -> np.ndarray:
     # column carries each entry forward until its receiver moves again.
     src = np.zeros((steps + 1, n), dtype=np.intp)
     src[0] = np.arange(n)
-    src[np.arange(1, steps + 1), np.arange(steps) % n] = np.arange(n, n + steps)
+    src[np.arange(1, steps + 1), (np.arange(steps) + first) % n] = np.arange(n, n + steps)
     np.maximum.accumulate(src, axis=0, out=src)
     return values[src]
 
@@ -359,74 +363,121 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(count: int) -> int:
+    """Processes, this one included, to compute ``count`` items: as many as
+    usable CPUs, at most ``count``, and only this one without ``os.fork`` or
+    beside other Python threads (forking a threaded process can deadlock)."""
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    return min(count, _usable_cpus()) if forks else 1
+
+
+@contextlib.contextmanager
+def _forked(results, name):
+    """Fork a child, the package's one ``os.fork``, that computes the iterable
+    ``results`` and sends each through a pipe as ``pickle.dumps((True,
+    result))``, or an exception as ``(False, exc)`` (a ``RuntimeError`` of
+    its ``repr`` if it does not pickle); give a function that returns its
+    next result, raises that exception, or reaps a child that ended first
+    and raises ``RuntimeError`` naming ``name``.  The child never returns
+    into the caller's stack and is SIGKILLed and reaped at the exit."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    for result in results:
+                        pipe.write(pickle.dumps((True, result)))
+                        pipe.flush()
+                except BaseException as exc:  # raised again in the caller
+                    try:
+                        data = pickle.dumps((False, exc))
+                        pickle.loads(data)
+                    except Exception:
+                        data = pickle.dumps((False, RuntimeError(repr(exc))))
+                    pipe.write(data)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    reaped = []
+
+    def receive():
+        try:
+            ok, payload = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            reaped.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            raise RuntimeError(f"{name} {pid} ended without a result "
+                               f"(exit status {reaped[0]})") from None
+        if not ok:
+            raise payload
+        return payload
+
+    with open(read_fd, "rb") as pipe:
+        try:
+            yield receive
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _in_order(fn, items):
     """Yield ``fn(item)`` for each of the sequence ``items``, in order.
 
-    The items are computed by one worker per usable CPU, at most one per
-    item: forked child ``w`` of ``W`` computes items ``w, w + W, ...`` and
-    sends each result through its own pipe as one frame, ``pickle.dumps((True,
-    result))``, as soon as it is ready; an exception ends its stream with
-    ``(False, exc)`` (a ``RuntimeError`` with its ``repr`` when it does not
-    pickle) and is raised here.  This process computes share 0 as it yields.
-    A child that ends before sending its next result raises ``RuntimeError``.
-    A child never returns into the caller's stack, and every child has been
-    SIGKILLed and reaped once the generator finishes, raises or is closed.
-    Without ``os.fork``, or beside other Python threads (forking a threaded
-    process can deadlock), every item is computed in-process.
+    The items are computed by ``_workers(len(items))`` processes: ``_forked``
+    child ``w`` of ``W`` computes items ``w, w + W, ...``, and this process
+    computes share 0 as it yields.  Every child has been SIGKILLed and
+    reaped once the generator finishes, raises or is closed.
     """
-    workers = min(len(items), _usable_cpus())
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    children = {}  # w -> (pid, read end of its pipe), until the child is reaped
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid:
-                os.close(write_fd)
-                children[w] = pid, os.fdopen(read_fd, "rb")
-                continue
-            status = 1
-            try:
-                os.close(read_fd)
-                with os.fdopen(write_fd, "wb") as pipe:
-                    try:
-                        for item in items[w::workers]:
-                            pipe.write(pickle.dumps((True, fn(item))))
-                            pipe.flush()
-                    except BaseException as exc:  # raised again in the caller
-                        try:
-                            data = pickle.dumps((False, exc))
-                            pickle.loads(data)
-                        except Exception:
-                            data = pickle.dumps((False, RuntimeError(repr(exc))))
-                        pipe.write(data)
-                status = 0
-            finally:
-                os._exit(status)
+    workers = _workers(len(items))
+    with contextlib.ExitStack() as children:
+        receive = [children.enter_context(_forked(map(fn, items[w::workers]), "trial worker"))
+                   for w in range(1, workers)]
         for i, item in enumerate(items):
             w = i % workers
-            if not w:
-                yield fn(item)
-                continue
-            pid, pipe = children[w]
-            try:
-                ok, payload = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                _, status = os.waitpid(pid, 0)
-                children.pop(w)[1].close()
-                raise RuntimeError(
-                    f"trial worker {pid} ended without a result "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                ) from None
-            if not ok:
-                raise payload
-            yield payload
-    finally:
-        for pid, pipe in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            yield receive[w - 1]() if w else fn(item)
+
+
+def _recorded_blocks(scenario, config, rows, outcome):
+    """Yield the ``records`` of ``run_protocol(scenario, config)``, ``rows``
+    steps at a time, then append its ``result`` to the list ``outcome``.
+
+    Where ``_workers(2)`` allows, the engine runs in a ``_forked`` child,
+    writing its frames to a pipe open there alone (1 MiB where the limit
+    allows) and then sending ``(converged, feasible, steps, final loads)``;
+    each block is decoded here as the engine makes the next.  Otherwise the
+    engine records into the flat buffer in-process, read the same way."""
+    x = list(draw_initial_loads(scenario, config.seed))
+    width = 5 + scenario.n  # doubles per frame
+    with contextlib.ExitStack() as stack:
+        if _workers(2) > 1:
+            import fcntl  # POSIX, as os.fork is
+            read_fd, write_fd = os.pipe()
+            frames = stack.enter_context(open(read_fd, "rb"))
+            pipe = stack.enter_context(open(write_fd, "wb", 1 << 16))
+            with contextlib.suppress(AttributeError, OSError):
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+
+            def engine():
+                frames.close()
+                with pipe:
+                    done = _trial_engine(scenario, x, config, pipe.write)
+                yield *done, x
+
+            receive = stack.enter_context(_forked(engine(), "traced trial's engine"))
             pipe.close()
+        else:
+            buffer = array("d")
+            done = *_trial_engine(scenario, x, config, buffer.frombytes), x
+            frames, receive = io.BytesIO(buffer), lambda: done
+        while block := frames.read(8 * width * rows):
+            # Whole frames only: a child that died mid-frame sends no outcome.
+            yield _records(scenario, np.frombuffer(block, count=len(block) // (8 * width) * width))
+        converged, feasible, steps, final = receive()
+    p_tx = solve_closed_form(scenario, final).p_tx
+    outcome.append(TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(final)))
 
 
 def run_trials(
@@ -434,13 +485,11 @@ def run_trials(
 ) -> tuple[TrialResult, ...]:
     """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording.
 
-    Each outcome is that of ``run_protocol`` on its seed, and the trials run
-    through ``_in_order``: in forked workers, one per usable CPU and at most
-    one per trial, or in-process where it falls back.  The results are in
-    seed order and bit-identical to one process running them all.  An
-    exception raised in a worker is raised here; a worker that ends without
-    a result raises ``RuntimeError``.  Every worker has ended when this
-    returns or raises.
+    Each outcome is that of ``run_protocol`` on its seed.  The trials run
+    through ``_in_order``, in forked workers where it forks; the results are
+    in seed order and bit-identical to one process running them all, a
+    worker's exception or death is raised here, and every worker has ended
+    when this returns or raises.
     """
     if trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {trials})")
@@ -472,7 +521,21 @@ def run_protocol(
     converged, feasible, steps = _trial_engine(
         scenario, x, config, buffer.frombytes if record else None
     )
-    table = np.frombuffer(buffer).reshape(-1, 5 + scenario.n)
+    return ProtocolTrace(
+        config=config,
+        initial=initial,
+        records=_records(scenario, np.frombuffer(buffer)),
+        iterations=steps,
+        converged=converged,
+        feasible=feasible,
+        final=tuple(x),
+        final_report=solve_closed_form(scenario, x),
+    )
+
+
+def _records(scenario, frames) -> np.ndarray:
+    """The ``records`` of the steps whose packed frames are the doubles ``frames``."""
+    table = frames.reshape(-1, 5 + scenario.n)
     agent = table[:, 0].astype(np.intp)
     powers = table[:, 5:]
     fields = [("agent", np.intp), ("feedback", np.uint8, (scenario.n,)),
@@ -485,16 +548,7 @@ def run_protocol(
     )
     records["case"] = table[:, 3]
     records["x_new"] = table[:, 4]
-    return ProtocolTrace(
-        config=config,
-        initial=initial,
-        records=records,
-        iterations=steps,
-        converged=converged,
-        feasible=feasible,
-        final=tuple(x),
-        final_report=solve_closed_form(scenario, x),
-    )
+    return records
 
 
 def summarize(results) -> BatchSummary:

@@ -45,6 +45,20 @@ def _log_uniform(lo: float, hi: float, u: float) -> float:
     return math.exp(a + (math.log(hi) - a) * u)
 
 
+def _log_uniform_on(lo: float, hi: float):
+    """``_log_uniform(lo, hi, u)`` as a function of ``u``, both logs taken once."""
+    a = math.log(lo)
+    width = math.log(hi) - a
+    return lambda u: math.exp(a + width * u)
+
+
+# The constant ranges of ``random_scenario``.
+_INDUCTANCE, _VOLTAGE, _RESISTANCE, _COUPLING, _X_MIN, _OMEGA = (
+    _log_uniform_on(lo, hi)
+    for lo, hi in ((5e-7, 5e-5), (5.0, 200.0), (0.05, 5.0), (0.02, 0.8), (0.01, 0.5), (2e5, 2e7))
+)
+
+
 def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) -> SystemScenario:
     """A random valid scenario with ``n_receivers`` receivers (default 1..8).
 
@@ -55,25 +69,23 @@ def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) ->
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ScenarioError(f"n_receivers must be an integer >= 1 (got {n!r})")
     draw = iter(rng.random(5 + 5 * n).tolist())
-    l_tx = _log_uniform(5e-7, 5e-5, next(draw))
+    l_tx = _INDUCTANCE(next(draw))
     tx = TransmitterSpec(
-        v_mag=_log_uniform(5.0, 200.0, next(draw)),
-        r_tx=_log_uniform(0.05, 5.0, next(draw)),
+        v_mag=_VOLTAGE(next(draw)),
+        r_tx=_RESISTANCE(next(draw)),
         l_tx=l_tx,
         v_phase=-math.pi + (math.pi - -math.pi) * next(draw),
     )
     receivers = []
     for _ in range(n):
-        l = _log_uniform(5e-7, 5e-5, next(draw))
-        h = _log_uniform(0.02, 0.8, next(draw)) * math.sqrt(l * l_tx)
-        x_min = _log_uniform(0.01, 0.5, next(draw))
+        l = _INDUCTANCE(next(draw))
+        h = _COUPLING(next(draw)) * math.sqrt(l * l_tx)
+        x_min = _X_MIN(next(draw))
         # log10(x_max / x_min) is uniform on [1, 3].
         x_max = x_min * 10.0 ** (1.0 + (3.0 - 1.0) * next(draw))
-        r = _log_uniform(0.05, 5.0, next(draw))
+        r = _RESISTANCE(next(draw))
         receivers.append(ReceiverSpec(r=r, l=l, h=h, x_min=x_min, x_max=x_max, p_min=1.0))
-    return SystemScenario(
-        w=_log_uniform(2e5, 2e7, next(draw)), tx=tx, receivers=tuple(receivers)
-    )
+    return SystemScenario(w=_OMEGA(next(draw)), tx=tx, receivers=tuple(receivers))
 
 
 def _loads(scenario: SystemScenario, u: list[float]) -> LoadVector:

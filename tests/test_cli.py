@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -17,6 +18,7 @@ from mrc_wpt import cli, distributed
 from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.cli import _format_doubles, main
 from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
+from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
 from helpers import assert_no_child_left, failing_engine
@@ -417,8 +419,9 @@ class TestSimulateCommand:
 class TestParallelWriter:
     """A body of two or more ``_BLOCK``s is formatted block by block in this
     process; it must equal the ``csv.writer`` oracle.  ``simulate --trace``
-    writes trial 0's trace while forked workers run the other trials; a
-    worker's failure reaches the caller, and no worker may outlive it."""
+    writes trial 0's trace block by block as the child that runs its engine
+    records it, while forked workers run the other trials; a child's failure
+    reaches the caller, and no child may outlive it."""
 
     BLOCK = 1000
     SWEEP_POINTS = 3 * BLOCK + 17
@@ -451,11 +454,11 @@ class TestParallelWriter:
                   + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
         return csv_body(header, rows)
 
-    def write_on(self, cpus, args):
-        """Run ``main(args)`` with ``cpus`` usable CPUs and ``BLOCK``-row
+    def write_on(self, cpus, args, block=BLOCK):
+        """Run ``main(args)`` with ``cpus`` usable CPUs and ``block``-row
         blocks; return how many processes it forked."""
         fork = os.fork
-        with mock.patch.object(cli, "_BLOCK", self.BLOCK), \
+        with mock.patch.object(cli, "_BLOCK", block), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=cpus), \
                 mock.patch.object(os, "fork", side_effect=fork) as forked:
             assert main(args) == 0
@@ -474,16 +477,99 @@ class TestParallelWriter:
             assert self.write_on(cpus, self.sweep_args(out)) == 0
             assert raw_body(out) == sweep_oracle
             out = tmp_path / f"trace{cpus}.csv"
-            # Trials 1 and 2 run in cpus - 1 workers.
-            assert self.write_on(cpus, self.trace_args(tmp_path, out)) == cpus - 1
+            # Trials 1 and 2 run in cpus - 1 workers, and trial 0's engine in
+            # one more child when a second CPU is usable.
+            assert self.write_on(cpus, self.trace_args(tmp_path, out)) == cpus - 1 + (cpus > 1)
             assert raw_body(out) == trace_oracle
             summaries.add(raw_body(tmp_path / "s.csv"))
         assert len(summaries) == 1
 
-    def test_threaded_caller_writes_serially(self, tmp_path):
+    @staticmethod
+    def draw(n):
+        """The ``with_feasible_thresholds`` draw of ``TestParallelTrials`` with
+        ``n`` receivers; the N = 1 one converges at step 2221 from seed 32."""
+        rng = np.random.default_rng({1: 1, 8: 3}[n])
+        return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0]
+
+    @pytest.mark.parametrize(
+        "n, k_max, block, seed",
+        [
+            (3, 3000, 7, 5),  # blocks that start at every agent
+            (3, 999, 1000, 5),  # k_max < _BLOCK
+            (3, 2000, 1000, 5),  # k_max == 2 * _BLOCK
+            (1, 3000, 1000, 32),  # converges mid-block
+            (8, 3000, 1000, 2),
+            (8, 2000, 7, 2),
+        ],
+        ids=["fig3 block 7", "fig3 short", "fig3 two blocks", "N=1 converges", "N=8",
+             "N=8 block 7"],
+    )
+    def test_streamed_trace_equals_oracle(self, tmp_path, fig3, n, k_max, block, seed):
+        path = tmp_path / "scenario.json"
+        save_scenario(fig3 if n == 3 else self.draw(n), path)
+        scenario = load_scenario(path)
+        trace = run_protocol(scenario, ProtocolConfig(dx=1e-3, k_max=k_max, seed=seed))
+        assert (trace.converged, trace.iterations) == ((True, 2221) if n == 1 else (False, k_max))
+        oracle = self.trace_body(scenario, trace)
+        summaries = set()
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"trace{cpus}.csv"
+            args = ["simulate", "--scenario", str(path), "--kmax", str(k_max), "--seed",
+                    str(seed), "--trace", str(out), "--out", str(tmp_path / "s.csv")]
+            # The traced trial's engine runs in a child when a second CPU is usable.
+            assert self.write_on(cpus, args, block) == (cpus > 1)
+            assert raw_body(out) == oracle
+            summaries.add(raw_body(tmp_path / "s.csv"))
+        assert len(summaries) == 1
+
+    @pytest.mark.skipif(not os.path.isdir(f"/proc/{os.getpid()}/task"), reason="needs /proc")
+    def test_pipes_written_by_one_child_each(self, tmp_path, fig3):
+        # Each pipe this process reads, the frames pipe included, has its
+        # write end open in one process, the child that writes it, so that
+        # its EOF means that child ended or finished.
+        def pipes(pid):
+            """(pipe, writable) for each pipe end open in process ``pid``."""
+            ends = set()
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                with contextlib.suppress(FileNotFoundError):
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                    with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                        flags = int(info.read().split("flags:")[1].split()[0], 8)
+                    if target.startswith("pipe:"):
+                        ends.add((target, flags & os.O_ACCMODE == os.O_WRONLY))
+            return ends
+
+        checked = []
+        columns = cli._trace_columns
+
+        def check_pipes():
+            me = os.getpid()
+            with open(f"/proc/{me}/task/{me}/children") as f:
+                children = {int(pid): pipes(pid) for pid in f.read().split()}
+            mine = pipes(me)
+            read = {pipe for pipe, writable in mine if not writable}
+            assert len(children) == 3 and len(read) == 4  # 2 workers, the engine's 2 pipes
+            for pipe in read:
+                writers = [pid for pid, ends in children.items() if (pipe, True) in ends]
+                assert (pipe, True) not in mine and len(writers) == 1
+            checked.append(True)
+
+        def spy(*args):
+            for block in columns(*args):
+                if not checked:
+                    check_pipes()  # checked while the run goes on
+                yield block
+
+        with mock.patch.object(cli, "_trace_columns", spy):
+            assert self.write_on(3, self.trace_args(tmp_path, tmp_path / "t.csv")) == 3
+        assert checked
+
+    def test_threaded_caller_writes_serially(self, tmp_path, fig3):
         serial = tmp_path / "serial.csv"
         with mock.patch.object(distributed, "_usable_cpus", return_value=1):
             assert main(self.trace_args(tmp_path, serial)) == 0
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
+        assert raw_body(serial) == self.trace_body(fig3, trace)
         out = tmp_path / "threaded.csv"
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -500,20 +586,21 @@ class TestParallelWriter:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_fails_after_fork(self, tmp_path, capsys):
         # The open succeeds and the first write fails: for the trace, after
-        # the worker of trial 1 forked.
+        # the worker of trial 1 and the traced trial's engine forked.
         sweep = ["sweep", "--scenario", "paper-fig2", "--receiver", "1",
                  "--grid", "0.1:100:50000", "--fixed", "x2=7.5,x3=7.5", "--out", "/dev/full"]
         assert main(sweep) == 2
         assert capsys.readouterr().err == "mrc-grid sweep: [Errno 28] No space left on device\n"
         fork = os.fork
-        with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
-                mock.patch.object(os, "fork", side_effect=fork) as forked:
-            assert main(self.trace_args(tmp_path, "/dev/full", trials=2)) == 2
-        assert forked.call_count == 1
-        assert capsys.readouterr().err == (
-            "mrc-grid simulate: [Errno 28] No space left on device\n"
-        )
-        assert_no_child_left()
+        for trials in (1, 2):
+            with mock.patch.object(distributed, "_usable_cpus", return_value=2), \
+                    mock.patch.object(os, "fork", side_effect=fork) as forked:
+                assert main(self.trace_args(tmp_path, "/dev/full", trials=trials)) == 2
+            assert forked.call_count == trials
+            assert capsys.readouterr().err == (
+                "mrc-grid simulate: [Errno 28] No space left on device\n"
+            )
+            assert_no_child_left()
 
     def simulate_failing(self, tmp_path, fig3, fail):
         """``simulate --trials 2 --trace`` on two workers; the engine calls
@@ -546,6 +633,63 @@ class TestParallelWriter:
                                                r"\(exit status 3\)$"):
             self.simulate_failing(tmp_path, fig3, fail)
         assert_no_child_left()
+
+
+    def simulate_traced(self, tmp_path, fig3, engine):
+        """``simulate --trials 1 --trace`` on two CPUs with ``_trial_engine``
+        patched to ``engine``; return the trace rows written."""
+        out = tmp_path / "t.csv"
+        try:
+            with mock.patch.object(distributed, "_trial_engine", engine), \
+                    mock.patch.object(distributed, "_usable_cpus", return_value=2):
+                main(self.trace_args(tmp_path, out, trials=1))
+        finally:
+            assert_no_child_left()
+        return raw_body(out).splitlines(keepends=True)[1:]
+
+    def test_engine_exception_reaches_caller(self, tmp_path, fig3):
+        def fail(in_parent):
+            assert not in_parent
+            raise ValueError("boom")
+
+        with failing_engine(fig3, 5, fail), pytest.raises(ValueError, match="^boom$"):
+            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
+
+    def test_dead_engine_raises(self, tmp_path, fig3):
+        def fail(in_parent):
+            if in_parent:
+                raise AssertionError("the traced trial's engine ran in the caller")
+            os._exit(3)
+
+        with failing_engine(fig3, 5, fail), \
+                pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
+                                                  r"a result \(exit status 3\)$"):
+            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
+
+    def test_engine_dead_mid_frame(self, tmp_path, fig3):
+        # The engine's child sends 2500 frames and half of one, then ends: the
+        # trace has the rows of those 2500 steps.
+        engine = distributed._trial_engine
+
+        def cut(scenario, x, config, on_step):
+            sent = 0
+
+            def step(frame):
+                nonlocal sent
+                if sent == 2500:
+                    on_step(frame[:len(frame) // 2])
+                    on_step.__self__.flush()
+                    os._exit(4)
+                sent += 1
+                on_step(frame)
+
+            return engine(scenario, x, config, step)
+
+        with pytest.raises(RuntimeError, match=r"\(exit status 4\)$"):
+            rows = self.simulate_traced(tmp_path, fig3, cut)
+        rows = raw_body(tmp_path / "t.csv").splitlines(keepends=True)[1:]
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
+        assert rows == self.trace_body(fig3, trace).splitlines(keepends=True)[1:2501]
 
 
 def percent_e(values):
@@ -639,7 +783,7 @@ class TestIntegerColumns:
         column = np.array(values, np.int64)
         # Blocks of 4 rows, so that blocks need different numbers of digits.
         with mock.patch.object(cli, "_BLOCK", 4):
-            cli._write_csv(str(path), "# counts", ["a", "b"], (column, column[::-1]))
+            cli._write_csv(str(path), "# counts", ["a", "b"], [(column, column[::-1])])
         rows = [(str(a), str(b)) for a, b in zip(values, values[::-1])]
         assert raw_body(path) == csv_body(["a", "b"], rows)
 

@@ -489,6 +489,23 @@ class TestEngineEdgePaths:
         assert_same_outcome(result, trace)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_load_matrix_from_each_first_agent(n):
+    # A block of steps that starts mid-round: step 1 is agent ``first``'s.
+    rng = np.random.default_rng(n)
+    initial = tuple(rng.random(n).tolist())
+    x_new = rng.random(3 * n + 2)
+    for first in range(n):
+        xs = list(initial)
+        expected = [list(xs)]
+        for k, value in enumerate(x_new.tolist()):
+            xs[(first + k) % n] = value
+            expected.append(list(xs))
+        assert _load_matrix(initial, x_new, first).tolist() == expected
+        if first == 0:
+            assert _load_matrix(initial, x_new).tolist() == expected
+
+
 def lone_power(x):
     """``lone_receiver_scenario``'s receiver power at load ``x``."""
     return solve_closed_form(lone_receiver_scenario(), (x,)).p[0]
