@@ -8,7 +8,8 @@ a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
 rows at a time.  ``simulate --trace`` runs its traced trial's engine in a
 forked child and writes each block of the trace, in bounded memory, as the
-child records the next, while forked workers run its other trials.
+child records the next, while forked workers run its other trials; the
+blocks, with their loads, come from ``distributed._recorded_blocks``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ import numpy as np
 from . import __version__
 from .analysis import sweep
 from .centralized import DZ, minimize_ptx
-from .circuit import ScenarioError, closed_form_arrays
+from .circuit import ScenarioError, SystemScenario, closed_form_arrays
 from .distributed import (
     Case,
     NoFeasibleTrialsError,
     ProtocolConfig,
     _in_order,
-    _load_matrix,
     _recorded_blocks,
-    draw_initial_loads,
     run_protocol,
     summarize,
 )
@@ -167,18 +166,18 @@ def _write_csv(path: str, manifest: str, header: list[str], blocks) -> None:
                 fh.write(lines[lines != 0].tobytes())
 
 
-def _trace_columns(scenario, initial, blocks):
-    """The trace's columns for each of ``blocks``, a run's ``records`` from the
-    ``initial`` loads: ``iter``, agent, feedback bits, case, loads and powers."""
+def _trace_columns(scenario, blocks):
+    """The trace's columns for each of ``blocks``, a run's ``records`` with
+    its load matrix: ``iter``, agent, feedback bits, case, loads and powers."""
     names = np.array([case.name for case in Case], "S")  # Case values are 1, 2, ...
-    last, done = initial, 0
-    for records in blocks:
-        loads = _load_matrix(last, records["x_new"], done % scenario.n)[1:]
+    done = 0
+    for records, loads in blocks:
+        loads = loads[1:]  # after each step
         powers = closed_form_arrays(scenario, loads)
         bits = np.ascontiguousarray(records["feedback"] + ord("0")).view(f"S{scenario.n}")
         yield (np.arange(done + 1, done + len(records) + 1), records["agent"] + 1,
                bits.ravel(), names[records["case"] - 1], *loads.T, powers.p_tx, *powers.p.T)
-        last, done = loads[-1], done + len(records)
+        done += len(records)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -229,8 +228,7 @@ def _parse_fixed(spec: str | None, n: int, swept: int) -> dict[int, float]:
     return fixed
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_sweep(args: argparse.Namespace, scenario: SystemScenario) -> int:
     n_idx = args.receiver - 1
     if not 0 <= n_idx < scenario.n:
         raise ScenarioError(f"--receiver must be in 1..{scenario.n} (got {args.receiver})")
@@ -250,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     powers = sweep(scenario, loads, n_idx, grid)
     manifest = _manifest_line(
         "sweep",
-        str(args.scenario),
+        args.scenario,
         {
             "receiver": args.receiver,
             "grid": args.grid,
@@ -263,10 +261,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_optimize(args: argparse.Namespace, scenario: SystemScenario) -> int:
     result = minimize_ptx(scenario)
-    manifest = _manifest_line("optimize", str(args.scenario), {"dz": DZ}, (args.out,))
+    manifest = _manifest_line("optimize", args.scenario, {"dz": DZ}, (args.out,))
     header = (
         ["status", "z_star", "p_tx"]
         + [f"x_{k + 1}" for k in range(scenario.n)]
@@ -285,8 +282,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_simulate(args: argparse.Namespace, scenario: SystemScenario) -> int:
     config = ProtocolConfig(dx=args.dx, k_max=args.kmax, seed=args.seed)
     if args.trials < 1:
         raise ScenarioError(f"trials must be >= 1 (got {args.trials})")
@@ -297,7 +293,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     outputs = (args.out,) + ((args.trace,) if args.trace else ())
-    manifest = _manifest_line("simulate", str(args.scenario), parameters, outputs)
+    manifest = _manifest_line("simulate", args.scenario, parameters, outputs)
 
     header = (["iter", "n", "fb_bits", "case"] + [f"x_{k + 1}" for k in range(scenario.n)]
               + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
@@ -308,8 +304,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return run_protocol(scenario, run, record=False).result
         outcome = []
         with closing(_recorded_blocks(scenario, run, _BLOCK, outcome)) as blocks:
-            columns = _trace_columns(scenario, draw_initial_loads(scenario, run.seed), blocks)
-            _write_csv(args.trace, manifest, header, columns)
+            _write_csv(args.trace, manifest, header, _trace_columns(scenario, blocks))
         return outcome[0]
 
     # Trial 0, the traced one, runs in this process, which writes its trace
@@ -332,11 +327,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_verify(args: argparse.Namespace, scenario: SystemScenario) -> int:
     report = run_verification(scenario, trials=args.trials, seed=args.seed)
     payload = report.to_dict()
-    payload["scenario"] = str(args.scenario)
+    payload["scenario"] = args.scenario
     payload["trials"] = args.trials
     json.dump(payload, sys.stdout, indent=2)
     print()
@@ -390,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_scenario(args.scenario))
     except (ScenarioError, OSError) as exc:
         print(f"mrc-grid {args.subcommand}: {exc}", file=sys.stderr)
         return 2

@@ -33,15 +33,18 @@ probes at ``x_n - dx`` and ``x_n + dx`` compute, in the same operations, the
 state that a move to either load leads to, and the move takes it from there;
 only a clamped move computes it, and the powers are redone only after a load
 changed.  Bare and recorded runs execute every step, so a trial's cost is
-its step count, whatever state it reaches.
+its step count, whatever state it reaches.  A recorded run's loads are
+rebuilt one way: ``_with_loads`` walks whole-round blocks of its
+``records``, carrying one row of loads, for ``verify_trace`` and
+``_recorded_blocks``.
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
 ``_in_order``, as ``simulate`` maps its trials.  ``simulate --trace`` runs
 its traced trial's engine through ``_recorded_blocks`` in a child, whose
-frames ``_records`` decodes block by block as they arrive, so the trace is
-written in bounded memory.  Both fork through ``_forked``, the one place
-that forks.
+frames ``_records`` decodes a block of whole rounds at a time as they
+arrive, so the trace is written in bounded memory.  Both fork through
+``_forked``, the one place that forks.
 """
 
 from __future__ import annotations
@@ -336,11 +339,11 @@ def _trial_engine(scenario, x, config, on_step=None):
     return converged, n_hungry == 0, steps
 
 
-def _load_matrix(initial, x_new, first=0) -> np.ndarray:
+def _load_matrix(initial, x_new) -> np.ndarray:
     """Loads before the first step (row 0) and after each step k (row k).
 
-    Step k sets entry ``(first + k - 1) % N``, the protocol's round-robin
-    agent, to ``x_new[k-1]``; every other entry keeps its previous value.
+    Step k sets entry ``(k - 1) % N``, the protocol's round-robin agent, to
+    ``x_new[k-1]``; every other entry keeps its previous value.
     """
     n = len(initial)
     steps = len(x_new)
@@ -350,9 +353,19 @@ def _load_matrix(initial, x_new, first=0) -> np.ndarray:
     # column carries each entry forward until its receiver moves again.
     src = np.zeros((steps + 1, n), dtype=np.intp)
     src[0] = np.arange(n)
-    src[np.arange(1, steps + 1), (np.arange(steps) + first) % n] = np.arange(n, n + steps)
+    src[np.arange(1, steps + 1), np.arange(steps) % n] = np.arange(n, n + steps)
     np.maximum.accumulate(src, axis=0, out=src)
     return values[src]
+
+
+def _with_loads(initial, blocks):
+    """Yield each of ``blocks``, consecutive whole-round blocks of a run's
+    ``records`` from the ``initial`` loads, with its ``_load_matrix``, of
+    which only the last row is carried on to the next block."""
+    for records in blocks:
+        loads = _load_matrix(initial, records["x_new"])
+        yield records, loads
+        initial = loads[-1]
 
 
 def _usable_cpus() -> int:
@@ -441,16 +454,18 @@ def _in_order(fn, items):
 
 
 def _recorded_blocks(scenario, config, rows, outcome):
-    """Yield the ``records`` of ``run_protocol(scenario, config)``, ``rows``
-    steps at a time, then append its ``result`` to the list ``outcome``.
+    """Yield ``_with_loads`` of the ``records`` of ``run_protocol(scenario,
+    config)``, read in whole rounds, at most ``rows`` steps but at least one
+    round at a time, then append its ``result`` to the list ``outcome``.
 
     Where ``_workers(2)`` allows, the engine runs in a ``_forked`` child,
     writing its frames to a pipe open there alone (1 MiB where the limit
     allows) and then sending ``(converged, feasible, steps, final loads)``;
     each block is decoded here as the engine makes the next.  Otherwise the
     engine records into the flat buffer in-process, read the same way."""
-    x = list(draw_initial_loads(scenario, config.seed))
-    width = 5 + scenario.n  # doubles per frame
+    initial = draw_initial_loads(scenario, config.seed)
+    x = list(initial)
+    size = 8 * (5 + scenario.n) * scenario.n * max(rows // scenario.n, 1)  # bytes per block
     with contextlib.ExitStack() as stack:
         if _workers(2) > 1:
             import fcntl  # POSIX, as os.fork is
@@ -472,9 +487,8 @@ def _recorded_blocks(scenario, config, rows, outcome):
             buffer = array("d")
             done = *_trial_engine(scenario, x, config, buffer.frombytes), x
             frames, receive = io.BytesIO(buffer), lambda: done
-        while block := frames.read(8 * width * rows):
-            # Whole frames only: a child that died mid-frame sends no outcome.
-            yield _records(scenario, np.frombuffer(block, count=len(block) // (8 * width) * width))
+        blocks = iter(lambda: frames.read(size), b"")  # up to the end of the frames
+        yield from _with_loads(initial, (_records(scenario, block) for block in blocks))
         converged, feasible, steps, final = receive()
     p_tx = solve_closed_form(scenario, final).p_tx
     outcome.append(TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(final)))
@@ -524,7 +538,7 @@ def run_protocol(
     return ProtocolTrace(
         config=config,
         initial=initial,
-        records=_records(scenario, np.frombuffer(buffer)),
+        records=_records(scenario, buffer),
         iterations=steps,
         converged=converged,
         feasible=feasible,
@@ -534,8 +548,11 @@ def run_protocol(
 
 
 def _records(scenario, frames) -> np.ndarray:
-    """The ``records`` of the steps whose packed frames are the doubles ``frames``."""
-    table = frames.reshape(-1, 5 + scenario.n)
+    """The ``records`` of the steps whose packed frames are the buffer ``frames``,
+    of its whole frames only: a child that died mid-frame sent part of one."""
+    width = 5 + scenario.n  # doubles per frame
+    frames = np.frombuffer(frames, np.uint8)
+    table = frames[: len(frames) // (8 * width) * 8 * width].view(np.float64).reshape(-1, width)
     agent = table[:, 0].astype(np.intp)
     powers = table[:, 5:]
     fields = [("agent", np.intp), ("feedback", np.uint8, (scenario.n,)),
@@ -600,6 +617,10 @@ def _cases(p_own, p_min, p_lo, p_hi, others_fed) -> np.ndarray:
     return np.asarray(RULE)[pos + state + others_fed]
 
 
+# Rounds that ``verify_trace`` replays at a time; they bound its arrays.
+_REPLAY_ROUNDS = 4096
+
+
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     """Replay a recorded trace and report every deviation found.
 
@@ -618,104 +639,99 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     and the tests tie it to the step engine bit for bit.  Every power is
     recomputed from loads, never read from the trace: the loads before and
     after each step follow the round-robin agents and the recorded
-    ``x_new`` values, and the array kernel evaluates them and both probes
-    of every step in a few whole-trace calls.  The kernel shares no code
-    with the step engine that made the trace, and the replayed case comes
-    from ``_cases``, which shares only ``RULE``.  Every check runs on whole
-    columns, and messages are formatted only for the steps that fail.  The
-    replay stops after the first step whose ``x_new`` is not a positive
-    load, because no later step has loads that the kernel can evaluate;
-    initial loads that are not all positive are reported and no step is
-    replayed.  The terminal checks run in every case.
+    ``x_new`` values, walked ``_REPLAY_ROUNDS`` rounds at a time by
+    ``_with_loads``, and the array kernel evaluates a block's loads and both
+    probes of its steps in three calls.  The kernel shares no code with the
+    step engine that made the trace, and the replayed case comes from
+    ``_cases``, which shares only ``RULE``.  Every check runs on a block's
+    columns, as one (failing steps, message) entry of a table, and messages
+    are formatted only for the steps that fail.  The replay stops after the
+    first step whose ``x_new`` is not a positive load, because no later
+    step has loads that the kernel can evaluate; initial loads that are not
+    all positive are reported and no step is replayed.  The terminal checks
+    run in every case.
     """
     violations: list[str] = []
     n_agents = scenario.n
     receivers = scenario.receivers
     p_min = np.array([rec.p_min for rec in receivers])
+    x_min = np.array([rec.x_min for rec in receivers])
+    x_max = np.array([rec.x_max for rec in receivers])
     dx = trace.config.dx
-    recorded = trace.records["x_new"]
-    loads = _load_matrix(trace.initial, recorded)
-    bad = np.flatnonzero(~(np.isfinite(recorded) & (recorded > 0)))
-    stop = int(bad[0]) if bad.size else len(recorded)
     initial = np.asarray(trace.initial, dtype=float)
-    if not (np.isfinite(initial) & (initial > 0)).all():
+    replaying = bool((np.isfinite(initial) & (initial > 0)).all())
+    if not replaying:  # no step can be replayed
         violations.append(f"initial loads {trace.initial} are not all positive")
-        stop = -1  # no step can be replayed
     elif trace.initial != draw_initial_loads(scenario, trace.config.seed):
         seed = trace.config.seed
         violations.append(f"initial loads {trace.initial} are not the draw of seed {seed}")
-    records = trace.records[: stop + 1]
-    rows = np.arange(len(records))
-    cols = rows % n_agents
-    x_new = records["x_new"]
-
-    before = loads[: len(records)]
-    powers = closed_form_arrays(scenario, before)
-    fed = powers.p >= p_min
-    x_own = before[rows, cols]
-    probe = before.copy()
-    lo = x_own - dx
-    # A lower probe that would not be positive is taken at x_n / 2.
-    probe[rows, cols] = np.where(lo > 0.0, lo, 0.5 * x_own)
-    p_lo = closed_form_arrays(scenario, probe).p[rows, cols]
-    probe[rows, cols] = x_own + dx
-    p_hi = closed_form_arrays(scenario, probe).p[rows, cols]
-    p_own = powers.p[rows, cols]
-    feedback = fed.astype(np.uint8)
-    others_fed = feedback.sum(axis=1) - feedback[rows, cols] == n_agents - 1
-
-    case = _cases(p_own, p_min[cols], p_lo, p_hi, others_fed)
-    up = np.isin(case, (Case.C1, Case.C3))
-    down = np.isin(case, (Case.C2, Case.C4))
-    x_min = np.array([rec.x_min for rec in receivers])[cols]
-    x_max = np.array([rec.x_max for rec in receivers])[cols]
-    x_expected = np.where(
-        up,
-        np.minimum(x_max, x_own + dx),
-        np.where(down, np.maximum(x_min, x_own - dx), x_own),
-    )
-    delta = np.abs(x_new - x_own)
-
-    bad_agent = records["agent"] != cols
-    bad_feedback = (records["feedback"] != feedback).any(axis=1)
-    bad_probes = (records["probes"] != np.stack((p_lo, p_own, p_hi), axis=1)).any(axis=1)
-    bad_case = records["case"] != case
-    bad_x_new = x_new != x_expected
-    out_of_bounds = ~((x_min <= x_new) & (x_new <= x_max))
-    # Representation slack: x +- dx rounds to within a few ulp of x.
-    too_far = (x_new != x_own) & (delta > dx + 32.0 * np.spacing(x_own))
-
     names = {c.value: c.name for c in Case}
-    failed = bad_agent | bad_feedback | bad_probes | bad_case | bad_x_new | out_of_bounds | too_far
-    for i in np.flatnonzero(failed).tolist():
-        tag = f"step {i + 1}"
-        step = records[i]
-        if bad_agent[i]:
-            violations.append(f"{tag}: agent {step['agent']} breaks round-robin order")
-        if bad_feedback[i]:
-            recorded = tuple(step["feedback"].tolist())
-            violations.append(
-                f"{tag}: feedback {recorded} not truthful ({tuple(feedback[i].tolist())})"
-            )
-        if bad_probes[i]:
-            violations.append(f"{tag}: probe powers differ from replay")
-        if bad_case[i]:
-            recorded = names.get(int(step["case"]), int(step["case"]))
-            violations.append(f"{tag}: case {recorded}, replay says {names[case[i]]}")
-        if bad_x_new[i]:
-            violations.append(
-                f"{tag}: x_new {float(x_new[i])} != expected {float(x_expected[i])}"
-            )
-        if out_of_bounds[i]:
-            violations.append(f"{tag}: x_new {float(x_new[i])} violates bounds")
-        if too_far[i]:
-            violations.append(f"{tag}: move {float(delta[i])} larger than dx")
-        if i == stop:
-            violations.append(
-                f"{tag}: replay stops: x_new {float(x_new[i])} is not a positive load"
-            )
+    starts = range(0, len(trace.records), _REPLAY_ROUNDS * n_agents)
+    blocks = _with_loads(trace.initial, (trace.records[k:k + starts.step] for k in starts))
+    loads = initial[np.newaxis]  # the loads of a trace without steps
+    for start, (records, loads) in zip(starts, blocks):
+        if not replaying:
+            continue
+        positive = np.isfinite(records["x_new"]) & (records["x_new"] > 0)
+        stop = len(records) if positive.all() else int(positive.argmin())
+        replaying = stop == len(records)
+        records = records[: stop + 1]
+        rows = np.arange(len(records))
+        cols = rows % n_agents  # every block starts a round
+        x_new = records["x_new"]
 
-    if tuple(loads[-1].tolist()) != trace.final:
+        before = loads[: len(records)]
+        powers = closed_form_arrays(scenario, before)
+        x_own = before[rows, cols]
+        probe = before.copy()
+        lo = x_own - dx
+        # A lower probe that would not be positive is taken at x_n / 2.
+        probe[rows, cols] = np.where(lo > 0.0, lo, 0.5 * x_own)
+        p_lo = closed_form_arrays(scenario, probe).p[rows, cols]
+        probe[rows, cols] = x_own + dx
+        p_hi = closed_form_arrays(scenario, probe).p[rows, cols]
+        p_own = powers.p[rows, cols]
+        feedback = (powers.p >= p_min).astype(np.uint8)
+        others_fed = feedback.sum(axis=1) - feedback[rows, cols] == n_agents - 1
+
+        case = _cases(p_own, p_min[cols], p_lo, p_hi, others_fed)
+        up = np.isin(case, (Case.C1, Case.C3))
+        down = np.isin(case, (Case.C2, Case.C4))
+        x_expected = np.where(
+            up,
+            np.minimum(x_max[cols], x_own + dx),
+            np.where(down, np.maximum(x_min[cols], x_own - dx), x_own),
+        )
+        delta = np.abs(x_new - x_own)
+
+        # Each check: the steps that fail it, and its message for step i.
+        checks = (
+            (records["agent"] != cols,
+             lambda i: f"agent {records['agent'][i]} breaks round-robin order"),
+            ((records["feedback"] != feedback).any(axis=1),
+             lambda i: f"feedback {tuple(records['feedback'][i].tolist())} not truthful "
+                       f"({tuple(feedback[i].tolist())})"),
+            ((records["probes"] != np.stack((p_lo, p_own, p_hi), axis=1)).any(axis=1),
+             lambda i: "probe powers differ from replay"),
+            (records["case"] != case,
+             lambda i: f"case {names.get(c := int(records['case'][i]), c)}, "
+                       f"replay says {names[case[i]]}"),
+            (x_new != x_expected,
+             lambda i: f"x_new {float(x_new[i])} != expected {float(x_expected[i])}"),
+            (~((x_min[cols] <= x_new) & (x_new <= x_max[cols])),
+             lambda i: f"x_new {float(x_new[i])} violates bounds"),
+            # Representation slack: x +- dx rounds to within a few ulp of x.
+            ((x_new != x_own) & (delta > dx + 32.0 * np.spacing(x_own)),
+             lambda i: f"move {float(delta[i])} larger than dx"),
+            (rows == stop,
+             lambda i: f"replay stops: x_new {float(x_new[i])} is not a positive load"),
+        )
+        failed = np.logical_or.reduce([bad for bad, _ in checks])
+        for i in np.flatnonzero(failed).tolist():
+            violations += [f"step {start + i + 1}: {say(i)}" for bad, say in checks if bad[i]]
+
+    last = loads[-1]
+    if tuple(last.tolist()) != trace.final:
         violations.append("final loads differ from replayed loads")
     steps = len(trace.records)
     if trace.iterations != steps:
@@ -734,7 +750,6 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
         violations.append("N trailing C5 steps without the converged flag")
     elif not trace.converged and steps != trace.config.k_max:
         violations.append(f"{steps} steps without converging, k_max is {trace.config.k_max}")
-    last = loads[-1]
     if (np.isfinite(last) & (last > 0)).all():
         fields = zip(PowerReport._fields, trace.final_report, closed_form_arrays(scenario, last))
         differ = ", ".join(name for name, a, b in fields if not np.array_equal(a, b))

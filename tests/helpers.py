@@ -7,10 +7,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mrc_wpt import distributed
 from mrc_wpt.centralized import check_feasibility, z_bracket
-from mrc_wpt.circuit import PowerReport, det_impedance, solve_closed_form
+from mrc_wpt.circuit import (
+    PowerReport,
+    ReceiverSpec,
+    SystemScenario,
+    TransmitterSpec,
+    det_impedance,
+    solve_closed_form,
+)
 from mrc_wpt.sampling import random_loads, random_scenario, with_feasible_thresholds
 from mrc_wpt.verify import _PROPERTIES, PropertyResult, VerificationReport
 
@@ -218,3 +226,25 @@ def ulps(value, exact) -> float:
     """Distance of the double ``value`` from the rational ``exact`` in units
     of the last place of ``exact``'s nearest double."""
     return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+@st.composite
+def wide_systems(draw):
+    """A scenario over wide ranges, N = 1-8, and a load vector in its load box,
+    each value log-uniform: r_tx and r in [1e-6, 1e3] ohm, v in [1e-3, 1e4] V,
+    w in [1e3, 1e9] rad/s, coils in [1e-8, 1e-3] H, couplings 1e-4 to 1 of the
+    passivity bound, x_min in [1e-6, 1e2] ohm and x_max / x_min up to 1e6."""
+
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    l_tx = log_uniform(1e-8, 1e-3)
+    tx = TransmitterSpec(v_mag=log_uniform(1e-3, 1e4), r_tx=log_uniform(1e-6, 1e3), l_tx=l_tx)
+    receivers, loads = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        l, x_min = log_uniform(1e-8, 1e-3), log_uniform(1e-6, 1e2)
+        x_max = x_min * log_uniform(1.0, 1e6)
+        h = log_uniform(1e-4, 1.0) * math.sqrt(l * l_tx)
+        receivers.append(ReceiverSpec(log_uniform(1e-6, 1e3), l, h, x_min, x_max, 1.0))
+        loads.append(log_uniform(x_min, x_max))
+    return SystemScenario(log_uniform(1e3, 1e9), tx, tuple(receivers)), tuple(loads)

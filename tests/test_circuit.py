@@ -22,7 +22,16 @@ from mrc_wpt.circuit import (
 )
 from mrc_wpt.sampling import random_loads, random_scenario
 
-from helpers import _bits, exact_closed_form, rel, scalar_admittance, scalar_matrix, scalar_oracle, ulps
+from helpers import (
+    _bits,
+    exact_closed_form,
+    rel,
+    scalar_admittance,
+    scalar_matrix,
+    scalar_oracle,
+    ulps,
+    wide_systems,
+)
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 # Frozen regression value, confirmed against solve_oracle (generic linear
@@ -316,28 +325,6 @@ class TestColumnFunctions:
             assert currents.tobytes() == expected_currents.tobytes()
             assert build_impedance_matrix(s, xs).tobytes() == scalar_matrix(s, xs).tobytes()
             assert admittance_first_column(s, xs).tobytes() == scalar_admittance(s, xs).tobytes()
-
-
-@st.composite
-def wide_systems(draw):
-    """A scenario over wide ranges, N = 1-8, and a load vector in its load box,
-    each value log-uniform: r_tx and r in [1e-6, 1e3] ohm, v in [1e-3, 1e4] V,
-    w in [1e3, 1e9] rad/s, coils in [1e-8, 1e-3] H, couplings 1e-4 to 1 of the
-    passivity bound, x_min in [1e-6, 1e2] ohm and x_max / x_min up to 1e6."""
-
-    def log_uniform(lo, hi):
-        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
-
-    l_tx = log_uniform(1e-8, 1e-3)
-    tx = TransmitterSpec(v_mag=log_uniform(1e-3, 1e4), r_tx=log_uniform(1e-6, 1e3), l_tx=l_tx)
-    receivers, loads = [], []
-    for _ in range(draw(st.integers(1, 8))):
-        l, x_min = log_uniform(1e-8, 1e-3), log_uniform(1e-6, 1e2)
-        x_max = x_min * log_uniform(1.0, 1e6)
-        h = log_uniform(1e-4, 1.0) * math.sqrt(l * l_tx)
-        receivers.append(ReceiverSpec(log_uniform(1e-6, 1e3), l, h, x_min, x_max, 1.0))
-        loads.append(log_uniform(x_min, x_max))
-    return SystemScenario(log_uniform(1e3, 1e9), tx, tuple(receivers)), tuple(loads)
 
 
 class TestExactClosedForm:

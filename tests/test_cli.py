@@ -494,12 +494,12 @@ class TestParallelWriter:
     @pytest.mark.parametrize(
         "n, k_max, block, seed",
         [
-            (3, 3000, 7, 5),  # blocks that start at every agent
+            (3, 3000, 7, 5),  # blocks of two rounds
             (3, 999, 1000, 5),  # k_max < _BLOCK
             (3, 2000, 1000, 5),  # k_max == 2 * _BLOCK
             (1, 3000, 1000, 32),  # converges mid-block
             (8, 3000, 1000, 2),
-            (8, 2000, 7, 2),
+            (8, 2000, 7, 2),  # blocks of one round
         ],
         ids=["fig3 block 7", "fig3 short", "fig3 two blocks", "N=1 converges", "N=8",
              "N=8 block 7"],

@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrc_wpt import distributed
 from mrc_wpt.analysis import peak_load
@@ -33,7 +35,7 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
-from helpers import assert_no_child_left, failing_engine, fig3_with_p3
+from helpers import assert_no_child_left, failing_engine, fig3_with_p3, wide_systems
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -491,19 +493,17 @@ class TestEngineEdgePaths:
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_load_matrix_from_each_first_agent(n):
-    # A block of steps that starts mid-round: step 1 is agent ``first``'s.
+    # Step 1 is agent 0's, as in every block of whole rounds; the steps end
+    # mid-round, as a run's last block may.
     rng = np.random.default_rng(n)
     initial = tuple(rng.random(n).tolist())
     x_new = rng.random(3 * n + 2)
-    for first in range(n):
-        xs = list(initial)
-        expected = [list(xs)]
-        for k, value in enumerate(x_new.tolist()):
-            xs[(first + k) % n] = value
-            expected.append(list(xs))
-        assert _load_matrix(initial, x_new, first).tolist() == expected
-        if first == 0:
-            assert _load_matrix(initial, x_new).tolist() == expected
+    xs = list(initial)
+    expected = [list(xs)]
+    for k, value in enumerate(x_new.tolist()):
+        xs[k % n] = value
+        expected.append(list(xs))
+    assert _load_matrix(initial, x_new).tolist() == expected
 
 
 def lone_power(x):
@@ -976,3 +976,59 @@ class TestVerifyTraceChecks:
         assert verify_trace(fig3, replace(trace, feasible=flag)) == [
             f"feasible flag {flag} does not match replay ({trace.feasible})"
         ]
+
+
+class TestVerifyTraceChecksOneRound(TestVerifyTraceChecks):
+    """The same checks with the replay one round at a time, so that every
+    round starts a block."""
+
+    @pytest.fixture(autouse=True)
+    def one_round(self):
+        with mock.patch.object(distributed, "_REPLAY_ROUNDS", 1):
+            yield
+
+
+def test_tampered_across_replay_blocks(fig3):
+    # A clean trace of more than two default replay blocks, tampered at the
+    # last step of the first block, the first step of the second and, inside
+    # the second, with an x_new that is no positive load.  The replay reports
+    # the same one round at a time, at the default, and in one block.
+    block = distributed._REPLAY_ROUNDS * fig3.n
+    clean = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=2 * block + 100, seed=5))
+    assert verify_trace(fig3, clean) == []
+    records = clean.records.copy()
+    x_last = float(records["x_new"][block - 1])
+    records["x_new"][block - 1] = math.nextafter(x_last, 0.0)
+    truthful = tuple(records["feedback"][block].tolist())
+    records["feedback"][block] = [1 - b for b in truthful]
+    records["x_new"][block + 30] = -1.0
+    tampered = replace(clean, records=records)
+    reports = []
+    for rounds in (1, distributed._REPLAY_ROUNDS, len(records)):
+        with mock.patch.object(distributed, "_REPLAY_ROUNDS", rounds):
+            reports.append(verify_trace(fig3, tampered))
+    assert reports[0] == reports[1] == reports[2]
+    violations = reports[0]
+    # Also reported: the next step of the tampered load's agent, and the stop step.
+    assert len(violations) == 8
+    assert violations[:2] == [
+        f"step {block}: x_new {math.nextafter(x_last, 0.0)} != expected {x_last}",
+        f"step {block + 1}: feedback {tuple(1 - b for b in truthful)} not truthful ({truthful})",
+    ]
+    assert violations[-1] == f"step {block + 31}: replay stops: x_new -1.0 is not a positive load"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_systems(), st.data(), st.floats(-9.0, 0.0), st.integers(50, 600),
+       st.integers(min_value=0))
+def test_verify_trace_wide_ranges(system, data, u, k_max, seed):
+    # Every recorded run over wide ranges replays cleanly: demands 30-90% of
+    # the power at the drawn loads, and dx from 1e-9 to 1 of the largest x_max.
+    scenario, loads = system
+    powers = solve_closed_form(scenario, loads).p
+    receivers = tuple(replace(rec, p_min=data.draw(st.floats(0.3, 0.9)) * p)
+                      for rec, p in zip(scenario.receivers, powers))
+    scenario = replace(scenario, receivers=receivers)
+    dx = 10.0**u * max(rec.x_max for rec in receivers)
+    trace = run_protocol(scenario, ProtocolConfig(dx=dx, k_max=k_max, seed=seed))
+    assert verify_trace(scenario, trace) == []

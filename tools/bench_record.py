@@ -24,8 +24,12 @@ ones, so that no side always runs first.
 The output file holds the environment (cores, the CPUs this process may
 run on, which set how many workers the package forks, Python, numpy,
 whether numba is importable), both sides' commit, the hash of their
-``src`` tree and the line count of its ``src/mrc_wpt/*.py`` (as ``wc -l``
-counts them), in total and per module, the median time of ``import mrc_wpt`` over 15 fresh processes per side
+``src`` tree, the line counts of its ``src/mrc_wpt/*.py`` in total and per
+module (``src_code_lines`` and ``src_module_code_lines`` count the lines
+that hold code: a token other than a comment, a newline or an indent, on
+a line of no module, class or function docstring; ``src_lines`` and
+``src_module_lines`` count all lines, as ``wc -l`` does), the median time
+of ``import mrc_wpt`` over 15 fresh processes per side
 (alternating between the sides, bytecode writing off, numpy imported
 first; import is most of the ``setup_s`` of the ``cli`` and ``protocol``
 workloads), the measured code (once the change is committed, ``git rev-parse HEAD:src``
@@ -65,7 +69,9 @@ kept for reference.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -75,6 +81,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +118,34 @@ def export_tree(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def module_lines(tree: Path) -> dict[str, int]:
-    """Lines of each package module in ``tree``, as ``wc -l`` counts them."""
+# Tokens that hold no code.
+_NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold a token other than a comment, a newline
+    or an indent, and are no part of a module, class or function docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NO_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def module_lines(tree: Path) -> dict[str, dict[str, int]]:
+    """Per package module in ``tree``, its ``code`` lines (``code_lines``) and
+    its ``all`` lines, as ``wc -l`` counts them."""
     modules = sorted((tree / "src" / "mrc_wpt").glob("*.py"))
-    return {p.name: p.read_bytes().count(b"\n") for p in modules}
+    return {p.name: {"code": code_lines(p.read_text()), "all": p.read_bytes().count(b"\n")}
+            for p in modules}
 
 
 def bench_env() -> dict[str, str]:
@@ -282,8 +313,10 @@ def main(argv=None) -> int:
             tree.mkdir()
             export_tree(revs[side], tree)
             lines = module_lines(tree)
-            record[side]["src_lines"] = sum(lines.values())
-            record[side]["src_module_lines"] = lines
+            for kind, total, per_module in (("code", "src_code_lines", "src_module_code_lines"),
+                                            ("all", "src_lines", "src_module_lines")):
+                record[side][total] = sum(m[kind] for m in lines.values())
+                record[side][per_module] = {module: m[kind] for module, m in lines.items()}
         for side, ms in import_ms(trees).items():
             record[side]["import_ms"] = ms
         for k, workload in enumerate(w["name"] for w in spec["workloads"]):
