@@ -202,7 +202,9 @@ class PowerReport(NamedTuple):
     p_sum: float
 
 
-def as_loads(scenario: SystemScenario, loads: "LoadVector | Sequence[float] | Iterable[float]") -> tuple[float, ...]:
+def as_loads(
+    scenario: SystemScenario, loads: "LoadVector | Sequence[float] | Iterable[float]"
+) -> tuple[float, ...]:
     """Normalize ``loads`` to a tuple of floats sized to the scenario.
 
     Entries must be positive and finite; scenario bounds are deliberately not

@@ -6,10 +6,12 @@ version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
-rows at a time.  ``simulate --trace`` runs its traced trial's engine in a
-forked child and writes each block of the trace, in bounded memory, as the
-child records the next, while forked workers run its other trials; the
-blocks, with their loads, come from ``distributed._recorded_blocks``.
+rows at a time.  ``simulate --trace`` writes its trace a block of whole
+rounds at a time, in bounded memory, from ``distributed._recorded_blocks``:
+where a second CPU is usable, the traced trial's engine runs in a forked
+child that sends each block as one message and records the next while this
+process writes it, and otherwise in this process, a block at a time.
+Forked workers run its other trials.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: SystemScenario) -> int:
         return outcome[0]
 
     # Trial 0, the traced one, runs in this process, which writes its trace
-    # block by block as the engine's child records it, while forked workers
+    # block by block as its engine records it, while forked workers
     # run the others.
     results = list(_in_order(trial, range(args.trials)))
 

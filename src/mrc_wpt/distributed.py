@@ -19,10 +19,11 @@ steps take C5 (one full silent round).
 
 Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
 and the step around it twice.  ``_trial_engine``, the one simulator, reads a
-scenario and its ``ProtocolConfig``, and ``run_protocol`` runs it: bare, as
-for every trial of ``batch_run``, or with a step recorder that appends one
-packed frame per step, the step's doubles as bytes, to a flat buffer, from
-which ``_records`` builds the trace's ``records`` array once.
+scenario and its ``ProtocolConfig``, and ``_run_blocks`` runs it a block of
+whole rounds per call, carrying the loads and the trailing-C5 count: bare in
+one block, as for every trial of ``batch_run``, or with a step recorder that
+appends one packed frame per step, the step's doubles as bytes, to the
+block's flat buffer, which ``_records`` decodes.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -40,18 +41,16 @@ rebuilt one way: ``_with_loads`` walks whole-round blocks of its
 
 The trials of one ``run_trials`` (and so ``batch_run``) call share no
 state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, as ``simulate`` maps its trials.  ``simulate --trace`` runs
-its traced trial's engine through ``_recorded_blocks`` in a child, whose
-frames ``_records`` decodes a block of whole rounds at a time as they
-arrive, so the trace is written in bounded memory.  Both fork through
-``_forked``, the one place that forks.
+``_in_order``, as ``simulate`` maps its trials.  ``simulate --trace`` reads
+its traced trial's blocks through ``_recorded_blocks``, from a child that
+sends each block as one message, so the trace is written in bounded
+memory.  Both fork through ``_forked``, the one place that forks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import io
 import math
 import os
 import pickle
@@ -192,6 +191,10 @@ def draw_initial_loads(scenario: SystemScenario, seed: int) -> tuple[float, ...]
 
 # --- step engine -----------------------------------------------------------
 
+# Rounds that ``run_protocol`` records and ``verify_trace`` replays at a
+# time; they bound their arrays.
+_REPLAY_ROUNDS = 4096
+
 # C1-C5 as one table: the active receiver's case at its position (below its
 # peak 0, above it 2, at it 4) + its own state (row) + 1 if all others are fed.
 RULE = (1, 1, 2, 2, 5, 5,  # hungry (0); at its peak it waits for others' C3
@@ -199,15 +202,17 @@ RULE = (1, 1, 2, 2, 5, 5,  # hungry (0); at its peak it waits for others' C3
         5, 5, 5, 5, 5, 5)  # demand met exactly (12)
 
 
-def _trial_engine(scenario, x, config, on_step=None):
-    """Run one trial of ``scenario`` in place on ``x``, with the step size and
-    budget of ``config``.  Returns (converged, feasible, steps).
+def _trial_engine(scenario, x, config, on_step=None, trailing_c5=0):
+    """Run ``config.k_max`` steps of a trial of ``scenario`` from receiver 0,
+    in place on ``x``, with the step size of ``config``, after
+    ``trailing_c5`` silent steps.  Returns (trailing_c5, feasible, steps):
+    the run converged when the trailing C5 steps reach N.
 
     When given, ``on_step`` is called after each step with one packed frame
     per step: the bytes of the ``5 + N`` native doubles ``(n, p_lo, p_hi,
     case, x[n], *p_work)``, the step's receiver, probes and case, the load it
     left and the powers ``p_work`` it started from.  The frame is packed by
-    one ``struct.Struct`` built per trial.
+    one ``struct.Struct`` built per call.
 
     Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
     share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
@@ -218,8 +223,12 @@ def _trial_engine(scenario, x, config, on_step=None):
     probed load takes that probe's ``t``, ``q`` and r_in; a move clamped to
     a bound computes them again.  The powers and the hungry count are redone
     only after a step that changed a load; the loop is counted and its
-    ranges are built once per trial.  The case is read from ``RULE`` at an
+    ranges are built once per call.  The case is read from ``RULE`` at an
     index built inline: a call per step ran about 15% slower on CPython 3.11.
+
+    The state is built from ``x`` at the start in the operations and order
+    that keep it, so a run continued by a second call from a round boundary,
+    with the first call's ``trailing_c5``, is the run of one call to the bit.
     """
     recs = scenario.receivers
     r_tx = scenario.tx.r_tx
@@ -251,9 +260,7 @@ def _trial_engine(scenario, x, config, on_step=None):
         p_work[k] = p
         n_hungry += p < p_min[k]
     s_n = r_tx
-    trailing_c5 = 0
     n = 0
-    converged = False
     for steps in range(1, k_max + 1):
         p_own = p_work[n]
         p_min_n = p_min[n]
@@ -297,7 +304,6 @@ def _trial_engine(scenario, x, config, on_step=None):
                 on_step(pack(n, p_lo, p_hi, case, x_n, *p_work))
             trailing_c5 += 1
             if trailing_c5 >= n_agents:
-                converged = True
                 break
         else:
             trailing_c5 = 0
@@ -336,7 +342,31 @@ def _trial_engine(scenario, x, config, on_step=None):
             n = 0
             s_n = r_tx
 
-    return converged, n_hungry == 0, steps
+    return trailing_c5, n_hungry == 0, steps
+
+
+def _run_blocks(scenario, config, rounds):
+    """Run the trial of ``config`` on ``scenario`` ``rounds`` whole rounds at
+    a time, one ``_trial_engine`` call per block that carries on from the
+    last with its loads and trailing-C5 count, or in one block without
+    recording when ``rounds`` is None.  Yield ``(frames, None)`` per block,
+    its packed frames in one ``array("d")``, and for the last block
+    ``(frames, result)``, the run's ``TrialResult``."""
+    x = list(draw_initial_loads(scenario, config.seed))
+    size = config.k_max if rounds is None else rounds * scenario.n  # steps per block
+    trailing_c5 = 0
+    for start in range(0, config.k_max, size):
+        frames = array("d")
+        block = replace(config, k_max=min(size, config.k_max - start))
+        on_step = None if rounds is None else frames.frombytes
+        trailing_c5, feasible, steps = _trial_engine(scenario, x, block, on_step, trailing_c5)
+        steps += start
+        converged = trailing_c5 >= scenario.n
+        if converged or steps == config.k_max:
+            p_tx = solve_closed_form(scenario, x).p_tx
+            yield frames, TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(x))
+            return
+        yield frames, None
 
 
 def _load_matrix(initial, x_new) -> np.ndarray:
@@ -455,43 +485,18 @@ def _in_order(fn, items):
 
 def _recorded_blocks(scenario, config, rows, outcome):
     """Yield ``_with_loads`` of the ``records`` of ``run_protocol(scenario,
-    config)``, read in whole rounds, at most ``rows`` steps but at least one
-    round at a time, then append its ``result`` to the list ``outcome``.
+    config)``, a block of whole rounds, at most ``rows`` steps but at least
+    one round, at a time, then append its ``result`` to the list ``outcome``.
 
-    Where ``_workers(2)`` allows, the engine runs in a ``_forked`` child,
-    writing its frames to a pipe open there alone (1 MiB where the limit
-    allows) and then sending ``(converged, feasible, steps, final loads)``;
-    each block is decoded here as the engine makes the next.  Otherwise the
-    engine records into the flat buffer in-process, read the same way."""
+    The blocks come from ``_run_blocks``, in a ``_forked`` child where
+    ``_workers(2)`` allows, which sends each block as one message, so that
+    a block is decoded here as the engine makes the next; otherwise in this
+    process."""
     initial = draw_initial_loads(scenario, config.seed)
-    x = list(initial)
-    size = 8 * (5 + scenario.n) * scenario.n * max(rows // scenario.n, 1)  # bytes per block
-    with contextlib.ExitStack() as stack:
-        if _workers(2) > 1:
-            import fcntl  # POSIX, as os.fork is
-            read_fd, write_fd = os.pipe()
-            frames = stack.enter_context(open(read_fd, "rb"))
-            pipe = stack.enter_context(open(write_fd, "wb", 1 << 16))
-            with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-
-            def engine():
-                frames.close()
-                with pipe:
-                    done = _trial_engine(scenario, x, config, pipe.write)
-                yield *done, x
-
-            receive = stack.enter_context(_forked(engine(), "traced trial's engine"))
-            pipe.close()
-        else:
-            buffer = array("d")
-            done = *_trial_engine(scenario, x, config, buffer.frombytes), x
-            frames, receive = io.BytesIO(buffer), lambda: done
-        blocks = iter(lambda: frames.read(size), b"")  # up to the end of the frames
-        yield from _with_loads(initial, (_records(scenario, block) for block in blocks))
-        converged, feasible, steps, final = receive()
-    p_tx = solve_closed_form(scenario, final).p_tx
-    outcome.append(TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(final)))
+    blocks = _run_blocks(scenario, config, max(rows // scenario.n, 1))
+    with (_forked(blocks, "traced trial's engine") if _workers(2) > 1
+          else contextlib.nullcontext(blocks.__next__)) as receive:
+        yield from _with_loads(initial, _decoded(scenario, iter(receive, None), outcome))
 
 
 def run_trials(
@@ -518,41 +523,47 @@ def run_protocol(
     scenario: SystemScenario, config: ProtocolConfig, record: bool = True
 ) -> ProtocolTrace:
     """Simulate one full protocol run from the initial loads drawn for
-    ``config.seed``: ``_trial_engine`` on ``scenario`` and ``config``.
+    ``config.seed``: ``_run_blocks`` on ``scenario`` and ``config``.
 
     Iterates round-robin starting at receiver 0.  At each step the active
     receiver sees feedback bits sampled at the start of the step (before it
     probes), applies one rule from C1-C5, and the loop stops at ``k_max``
     steps or as soon as N consecutive steps were silent (C5).  With
     ``record=False`` ``records`` has no rows and only the terminal fields of
-    the trace are populated.
+    the trace are populated.  A recorded run's frames are decoded
+    ``_REPLAY_ROUNDS`` rounds at a time, so that one block of them is held.
     """
-    initial = draw_initial_loads(scenario, config.seed)
-    x = list(initial)
-    # Each step's packed frame goes into one flat buffer, so that no Python
-    # object is kept per step; the records array is built from it once.
-    buffer = array("d")
-    converged, feasible, steps = _trial_engine(
-        scenario, x, config, buffer.frombytes if record else None
-    )
+    outcome = []
+    blocks = _run_blocks(scenario, config, _REPLAY_ROUNDS if record else None)
+    records = np.concatenate(list(_decoded(scenario, blocks, outcome)))
+    (result,) = outcome
     return ProtocolTrace(
         config=config,
-        initial=initial,
-        records=_records(scenario, buffer),
-        iterations=steps,
-        converged=converged,
-        feasible=feasible,
-        final=tuple(x),
-        final_report=solve_closed_form(scenario, x),
+        initial=draw_initial_loads(scenario, config.seed),
+        records=records,
+        iterations=result.iterations,
+        converged=result.converged,
+        feasible=result.feasible,
+        final=result.final,
+        final_report=solve_closed_form(scenario, result.final),
     )
+
+
+def _decoded(scenario, blocks, outcome):
+    """Yield the ``_records`` of the frames of each of ``blocks``, items of
+    ``_run_blocks``, up to the one with the run's result, which is appended
+    to the list ``outcome``."""
+    for frames, result in blocks:
+        yield _records(scenario, frames)
+        if result is not None:
+            outcome.append(result)
+            return
 
 
 def _records(scenario, frames) -> np.ndarray:
-    """The ``records`` of the steps whose packed frames are the buffer ``frames``,
-    of its whole frames only: a child that died mid-frame sent part of one."""
+    """The ``records`` of the steps whose packed frames are the buffer ``frames``."""
     width = 5 + scenario.n  # doubles per frame
-    frames = np.frombuffer(frames, np.uint8)
-    table = frames[: len(frames) // (8 * width) * 8 * width].view(np.float64).reshape(-1, width)
+    table = np.frombuffer(frames, np.float64).reshape(-1, width)
     agent = table[:, 0].astype(np.intp)
     powers = table[:, 5:]
     fields = [("agent", np.intp), ("feedback", np.uint8, (scenario.n,)),
@@ -617,10 +628,6 @@ def _cases(p_own, p_min, p_lo, p_hi, others_fed) -> np.ndarray:
     return np.asarray(RULE)[pos + state + others_fed]
 
 
-# Rounds that ``verify_trace`` replays at a time; they bound its arrays.
-_REPLAY_ROUNDS = 4096
-
-
 def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     """Replay a recorded trace and report every deviation found.
 
@@ -649,7 +656,8 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     first step whose ``x_new`` is not a positive load, because no later
     step has loads that the kernel can evaluate; initial loads that are not
     all positive are reported and no step is replayed.  The terminal checks
-    run in every case.
+    run in every case; the stop rule's count of trailing C5 steps is carried
+    from block to block, as ``_run_blocks`` carries it.
     """
     violations: list[str] = []
     n_agents = scenario.n
@@ -669,7 +677,15 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     starts = range(0, len(trace.records), _REPLAY_ROUNDS * n_agents)
     blocks = _with_loads(trace.initial, (trace.records[k:k + starts.step] for k in starts))
     loads = initial[np.newaxis]  # the loads of a trace without steps
+    trailing_c5 = 0  # the C5 steps that end the blocks before
+    ends = []  # the 1-based steps at which runs of N consecutive C5 steps end
     for start, (records, loads) in zip(starts, blocks):
+        # Runs of C5 steps lie between the other steps; the first continues
+        # the trailing C5 steps of the blocks before.
+        others = np.flatnonzero(records["case"] != Case.C5)
+        bounds = np.concatenate(([-1 - trailing_c5], others, [len(records)]))
+        ends += (start + bounds[:-1][np.diff(bounds) > n_agents] + n_agents + 1).tolist()
+        trailing_c5 = len(records) - 1 - int(bounds[-2])
         if not replaying:
             continue
         positive = np.isfinite(records["x_new"]) & (records["x_new"] > 0)
@@ -736,17 +752,14 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     steps = len(trace.records)
     if trace.iterations != steps:
         violations.append(f"iterations {trace.iterations} != {steps} recorded steps")
-    # The 1-based steps at which runs of N consecutive C5 steps end.
-    c5 = np.concatenate(([0], np.cumsum(trace.records["case"] == Case.C5)))
-    ends = np.flatnonzero(c5[n_agents:] - c5[:-n_agents] == n_agents) + n_agents
-    if ends.size and ends[0] < steps:
+    if ends and ends[0] < steps:
         violations.append(
             f"step {ends[0]}: N consecutive C5 steps end the run, "
             f"but the trace goes on to step {steps}"
         )
-    elif trace.converged and not ends.size:
+    elif trace.converged and not ends:
         violations.append("converged flag set without N trailing C5 steps")
-    elif not trace.converged and ends.size:
+    elif not trace.converged and ends:
         violations.append("N trailing C5 steps without the converged flag")
     elif not trace.converged and steps != trace.config.k_max:
         violations.append(f"{steps} steps without converging, k_max is {trace.config.k_max}")

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -17,3 +18,10 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names missing attributes"
+
+
+def test_no_source_line_over_100_characters():
+    for path in sorted(pathlib.Path(mrc_wpt.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        long = [k for k, line in enumerate(lines, 1) if len(line) > 100]
+        assert long == [], f"{path.name}: lines {long} are longer than 100 characters"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import threading
 import warnings
 from dataclasses import replace
@@ -486,9 +487,11 @@ class TestParallelWriter:
 
     @staticmethod
     def draw(n):
-        """The ``with_feasible_thresholds`` draw of ``TestParallelTrials`` with
-        ``n`` receivers; the N = 1 one converges at step 2221 from seed 32."""
-        rng = np.random.default_rng({1: 1, 8: 3}[n])
+        """The ``with_feasible_thresholds`` draw with ``n`` receivers: those of
+        ``TestParallelTrials`` for N = 1 and 8, and of ``default_rng(8)`` for
+        N = 3.  The N = 1 one converges at step 2221 from seed 32, the N = 3
+        one at step 2218 from seed 21."""
+        rng = np.random.default_rng({1: 1, 3: 8, 8: 3}[n])
         return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0]
 
     @pytest.mark.parametrize(
@@ -524,9 +527,10 @@ class TestParallelWriter:
 
     @pytest.mark.skipif(not os.path.isdir(f"/proc/{os.getpid()}/task"), reason="needs /proc")
     def test_pipes_written_by_one_child_each(self, tmp_path, fig3):
-        # Each pipe this process reads, the frames pipe included, has its
-        # write end open in one process, the child that writes it, so that
-        # its EOF means that child ended or finished.
+        # Each pipe this process reads has its write end open in one
+        # process, the child that writes it, so that its EOF means that
+        # child ended or finished.  Blocks of 63 steps, so that the check
+        # runs while the workers are still busy with their 10,000 steps.
         def pipes(pid):
             """(pipe, writable) for each pipe end open in process ``pid``."""
             ends = set()
@@ -548,7 +552,7 @@ class TestParallelWriter:
                 children = {int(pid): pipes(pid) for pid in f.read().split()}
             mine = pipes(me)
             read = {pipe for pipe, writable in mine if not writable}
-            assert len(children) == 3 and len(read) == 4  # 2 workers, the engine's 2 pipes
+            assert len(children) == 3 and len(read) == 3  # 2 workers and the engine's child
             for pipe in read:
                 writers = [pid for pid, ends in children.items() if (pipe, True) in ends]
                 assert (pipe, True) not in mine and len(writers) == 1
@@ -561,7 +565,7 @@ class TestParallelWriter:
                 yield block
 
         with mock.patch.object(cli, "_trace_columns", spy):
-            assert self.write_on(3, self.trace_args(tmp_path, tmp_path / "t.csv")) == 3
+            assert self.write_on(3, self.trace_args(tmp_path, tmp_path / "t.csv"), 64) == 3
         assert checked
 
     def test_threaded_caller_writes_serially(self, tmp_path, fig3):
@@ -666,30 +670,99 @@ class TestParallelWriter:
                                                   r"a result \(exit status 3\)$"):
             self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
 
-    def test_engine_dead_mid_frame(self, tmp_path, fig3):
-        # The engine's child sends 2500 frames and half of one, then ends: the
-        # trace has the rows of those 2500 steps.
-        engine = distributed._trial_engine
+    def test_engine_dead_mid_block(self, tmp_path, fig3):
+        # The engine's child sends two whole blocks of 999 steps and half of
+        # the next message, then ends: the trace has the rows of those two
+        # blocks.
+        dumps = pickle.dumps
+        parent = os.getpid()
+        sent = 0
 
-        def cut(scenario, x, config, on_step):
-            sent = 0
+        def cut(obj):
+            nonlocal sent
+            if os.getpid() == parent:
+                return dumps(obj)
+            sent += 1
+            if sent == 4:
+                os._exit(4)
+            data = dumps(obj)
+            return data[:len(data) // 2] if sent == 3 else data
 
-            def step(frame):
-                nonlocal sent
-                if sent == 2500:
-                    on_step(frame[:len(frame) // 2])
-                    on_step.__self__.flush()
-                    os._exit(4)
-                sent += 1
-                on_step(frame)
-
-            return engine(scenario, x, config, step)
-
-        with pytest.raises(RuntimeError, match=r"\(exit status 4\)$"):
-            rows = self.simulate_traced(tmp_path, fig3, cut)
+        with mock.patch.object(pickle, "dumps", cut), mock.patch.object(cli, "_BLOCK", 1000), \
+                pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
+                                                  r"a result \(exit status 4\)$"):
+            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
         rows = raw_body(tmp_path / "t.csv").splitlines(keepends=True)[1:]
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
-        assert rows == self.trace_body(fig3, trace).splitlines(keepends=True)[1:2501]
+        assert rows == self.trace_body(fig3, trace).splitlines(keepends=True)[1:1 + 2 * 999]
+
+    @pytest.mark.parametrize(
+        "n, k_max, seed, iterations",
+        [
+            (1, 3000, 32, 2221),
+            # Its silent round, steps 2216-2218, straddles a round boundary.
+            (3, 4000, 21, 2218),
+        ],
+        ids=["N=1 converges", "N=3 converges"],
+    )
+    def test_recorded_run_independent_of_block(self, tmp_path, n, k_max, seed, iterations):
+        # A converging run, recorded by run_protocol and by simulate --trace
+        # in blocks of 1, 2 and 7 rounds or rows and at the defaults.
+        path = tmp_path / "scenario.json"
+        save_scenario(self.draw(n), path)
+        scenario = load_scenario(path)
+        config = ProtocolConfig(dx=1e-3, k_max=k_max, seed=seed)
+        args = ["simulate", "--scenario", str(path), "--kmax", str(k_max), "--seed", str(seed),
+                "--trace", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.csv")]
+        traces, bodies = set(), set()
+        for size in (1, 2, 7, None):
+            with mock.patch.object(distributed, "_REPLAY_ROUNDS",
+                                   size or distributed._REPLAY_ROUNDS):
+                trace = run_protocol(scenario, config)
+            traces.add((trace.records.tobytes(), trace.iterations, trace.converged,
+                        trace.feasible, trace.final))
+            # On two CPUs, so that each block crosses from the engine's child.
+            self.write_on(2, args, size or cli._BLOCK)
+            bodies.add((raw_body(tmp_path / "t.csv"), raw_body(tmp_path / "s.csv")))
+        assert (trace.converged, trace.iterations) == (True, iterations)
+        assert len(traces) == 1 and len(bodies) == 1
+        assert bodies.pop()[0] == self.trace_body(scenario, trace)
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["one CPU", "threaded caller"])
+    def test_in_process_recording_in_blocks(self, tmp_path, fig3, threaded):
+        # Without a child for its engine, the traced trial still runs and is
+        # decoded a block at a time: no engine call has a budget of more than
+        # one block, and no decoded block has more than _BLOCK steps.
+        engine, records = distributed._trial_engine, distributed._records
+        budgets, decoded = [], []
+
+        def engine_spy(scenario, x, config, *args):
+            budgets.append(config.k_max)
+            return engine(scenario, x, config, *args)
+
+        def records_spy(scenario, frames):
+            decoded.append(len(block := records(scenario, frames)))
+            return block
+
+        out = tmp_path / "t.csv"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if threaded:
+            thread.start()
+        try:
+            with mock.patch.object(distributed, "_trial_engine", engine_spy), \
+                    mock.patch.object(distributed, "_records", records_spy), \
+                    mock.patch.object(distributed, "_usable_cpus", return_value=1 + threaded), \
+                    mock.patch.object(cli, "_BLOCK", self.BLOCK), \
+                    mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+                assert main(self.trace_args(tmp_path, out, trials=1)) == 0
+        finally:
+            release.set()
+            if threaded:
+                thread.join()
+        assert budgets == [999] * 10 + [10] and decoded == budgets
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
+        assert raw_body(out) == self.trace_body(fig3, trace)
 
 
 def percent_e(values):

@@ -1018,6 +1018,30 @@ def test_tampered_across_replay_blocks(fig3):
     assert violations[-1] == f"step {block + 31}: replay stops: x_new -1.0 is not a positive load"
 
 
+def test_stop_rule_across_replay_blocks():
+    # An N = 3 run that converges at step 2218: its three final C5 steps,
+    # 2216-2218, straddle a round boundary, and so a replay block boundary
+    # one round at a time.  Two more silent steps replay cleanly, but the run
+    # should have stopped before them.
+    rng = np.random.default_rng(8)
+    scenario = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=3))[0]
+    trace = run_protocol(scenario, ProtocolConfig(dx=1e-3, k_max=4000, seed=21))
+    assert trace.converged and trace.iterations == 2218
+    assert (trace.records["case"][-4:] == [Case.C4, Case.C5, Case.C5, Case.C5]).all()
+    records = np.concatenate((trace.records, trace.records[-3:-1]))
+    longer = replace(trace, records=records, iterations=2220)
+    for rounds in (1, 2, distributed._REPLAY_ROUNDS):
+        with mock.patch.object(distributed, "_REPLAY_ROUNDS", rounds):
+            assert verify_trace(scenario, trace) == []
+            assert verify_trace(scenario, replace(trace, converged=False)) == [
+                "N trailing C5 steps without the converged flag"
+            ]
+            assert verify_trace(scenario, longer) == [
+                "step 2218: N consecutive C5 steps end the run, "
+                "but the trace goes on to step 2220"
+            ]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(wide_systems(), st.data(), st.floats(-9.0, 0.0), st.integers(50, 600),
        st.integers(min_value=0))
