@@ -157,6 +157,13 @@ class SystemScenario:
         return len(self.receivers)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count or seed ``value`` that is not an integer >= ``least``;
+    a ``bool`` is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ScenarioError(f"{name} must be an integer >= {least} (got {value})")
+
+
 def _check_positive(xs: tuple[float, ...]) -> None:
     """Reject the first load that is not positive and finite."""
     for k, v in enumerate(xs):

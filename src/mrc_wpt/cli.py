@@ -6,12 +6,11 @@ version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
-rows at a time.  ``simulate --trace`` writes its trace a block of whole
-rounds at a time, in bounded memory, from ``distributed._recorded_blocks``:
-where a second CPU is usable, the traced trial's engine runs in a forked
-child that sends each block as one message and records the next while this
-process writes it, and otherwise in this process, a block at a time.
-Forked workers run its other trials.
+rows at a time.  ``simulate`` runs its trials through ``distributed._trials``,
+the runner of ``run_trials``; with ``--trace`` it gives that runner a writer
+for the first trial's blocks of whole rounds, which this process formats
+and writes, in bounded memory, as they are recorded.  Which process runs
+each trial, and the traced trial's engine, is decided there.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import closing
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -34,9 +31,7 @@ from .distributed import (
     Case,
     NoFeasibleTrialsError,
     ProtocolConfig,
-    _in_order,
-    _recorded_blocks,
-    run_protocol,
+    _trials,
     summarize,
 )
 from .scenario_io import load_scenario
@@ -286,8 +281,6 @@ def _cmd_optimize(args: argparse.Namespace, scenario: SystemScenario) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, scenario: SystemScenario) -> int:
     config = ProtocolConfig(dx=args.dx, k_max=args.kmax, seed=args.seed)
-    if args.trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {args.trials})")
     parameters = {
         "dx": args.dx,
         "kmax": args.kmax,
@@ -300,19 +293,10 @@ def _cmd_simulate(args: argparse.Namespace, scenario: SystemScenario) -> int:
     header = (["iter", "n", "fb_bits", "case"] + [f"x_{k + 1}" for k in range(scenario.n)]
               + ["p_tx"] + [f"p_{k + 1}" for k in range(scenario.n)])
 
-    def trial(k):
-        run = replace(config, seed=config.seed + k)
-        if k or not args.trace:
-            return run_protocol(scenario, run, record=False).result
-        outcome = []
-        with closing(_recorded_blocks(scenario, run, _BLOCK, outcome)) as blocks:
-            _write_csv(args.trace, manifest, header, _trace_columns(scenario, blocks))
-        return outcome[0]
+    def write(blocks):
+        _write_csv(args.trace, manifest, header, _trace_columns(scenario, blocks))
 
-    # Trial 0, the traced one, runs in this process, which writes its trace
-    # block by block as its engine records it, while forked workers
-    # run the others.
-    results = list(_in_order(trial, range(args.trials)))
+    results = _trials(scenario, config, args.trials, write if args.trace else None)
 
     try:
         summary = summarize(results)

@@ -21,9 +21,11 @@ Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
 and the step around it twice.  ``_trial_engine``, the one simulator, reads a
 scenario and its ``ProtocolConfig``, and ``_run_blocks`` runs it a block of
 whole rounds per call, carrying the loads and the trailing-C5 count: bare in
-one block, as for every trial of ``batch_run``, or with a step recorder that
-appends one packed frame per step, the step's doubles as bytes, to the
-block's flat buffer, which ``_records`` decodes.
+one block, whose result a batch trial takes as it is, or with a step
+recorder that appends one packed frame per step, the step's doubles as
+bytes, to the block's flat buffer, which ``_records`` decodes.  Every
+recorded run, traced, returned or replayed, is cut into blocks of the same
+``_REPLAY_ROUNDS`` whole rounds.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -39,12 +41,13 @@ rebuilt one way: ``_with_loads`` walks whole-round blocks of its
 ``records``, carrying one row of loads, for ``verify_trace`` and
 ``_recorded_blocks``.
 
-The trials of one ``run_trials`` (and so ``batch_run``) call share no
-state.  ``run_trials`` maps ``run_protocol`` over their seeds through
-``_in_order``, as ``simulate`` maps its trials.  ``simulate --trace`` reads
-its traced trial's blocks through ``_recorded_blocks``, from a child that
-sends each block as one message, so the trace is written in bounded
-memory.  Both fork through ``_forked``, the one place that forks.
+Every batch of trials, of ``run_trials`` (and so ``batch_run``) and of
+``mrc-grid simulate``, runs through one runner, ``_trials``, which maps
+their seeds through ``_in_order``; the trials share no state.  For
+``simulate --trace`` it records the first trial through
+``_recorded_blocks``, from a child that sends each block as one message,
+and hands the blocks to the caller's writer, so the trace is written in
+bounded memory.  Both fork through ``_forked``, the one place that forks.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .circuit import (
     PowerReport,
     ScenarioError,
     SystemScenario,
+    _check_count,
     closed_form_arrays,
     coupling_ohms2,
     solve_closed_form,
@@ -120,10 +124,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dx) and self.dx > 0):
             raise ScenarioError(f"dx must be finite and > 0 (got {self.dx})")
-        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
-            raise ScenarioError(f"k_max must be an integer >= 1 (got {self.k_max})")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ScenarioError(f"seed must be an integer >= 0 (got {self.seed})")
+        _check_count("k_max", self.k_max, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +138,9 @@ class ProtocolTrace:
     the other N-1 bits), the ``probes`` ``p_lo, p_own, p_hi`` measured at
     ``x_n - dx``, ``x_n``, ``x_n + dx``, the ``case`` taken (a :class:`Case`
     value) and the load ``x_new`` it left.  A run without recording has no
-    rows.  Because ``records`` is an array, traces compare by identity.
+    rows.  Because ``records`` is an array, traces compare by identity.  Batch
+    trials build no trace: their outcomes are :class:`TrialResult` values,
+    with the terminal fields of the trace of the same seed.
     """
 
     config: ProtocolConfig
@@ -147,18 +151,6 @@ class ProtocolTrace:
     feasible: bool
     final: tuple[float, ...]
     final_report: PowerReport
-
-    @property
-    def result(self) -> TrialResult:
-        """The run's terminal outcome, as :func:`run_trials` reports it."""
-        return TrialResult(
-            self.config.seed,
-            self.converged,
-            self.feasible,
-            self.iterations,
-            self.final_report.p_tx,
-            self.final,
-        )
 
 
 class TrialResult(NamedTuple):
@@ -191,9 +183,10 @@ def draw_initial_loads(scenario: SystemScenario, seed: int) -> tuple[float, ...]
 
 # --- step engine -----------------------------------------------------------
 
-# Rounds that ``run_protocol`` records and ``verify_trace`` replays at a
-# time; they bound their arrays.
-_REPLAY_ROUNDS = 4096
+# Rounds per block of every recorded run: ``run_protocol`` and the trace of
+# ``simulate`` record, and ``verify_trace`` replays, this many at a time;
+# they bound their arrays.
+_REPLAY_ROUNDS = 2048
 
 # C1-C5 as one table: the active receiver's case at its position (below its
 # peak 0, above it 2, at it 4) + its own state (row) + 1 if all others are fed.
@@ -483,20 +476,46 @@ def _in_order(fn, items):
             yield receive[w - 1]() if w else fn(item)
 
 
-def _recorded_blocks(scenario, config, rows, outcome):
+def _recorded_blocks(scenario, config, outcome):
     """Yield ``_with_loads`` of the ``records`` of ``run_protocol(scenario,
-    config)``, a block of whole rounds, at most ``rows`` steps but at least
-    one round, at a time, then append its ``result`` to the list ``outcome``.
+    config)``, a block of ``_REPLAY_ROUNDS`` whole rounds at a time, then
+    append the run's ``TrialResult`` to the list ``outcome``.
 
     The blocks come from ``_run_blocks``, in a ``_forked`` child where
     ``_workers(2)`` allows, which sends each block as one message, so that
     a block is decoded here as the engine makes the next; otherwise in this
     process."""
     initial = draw_initial_loads(scenario, config.seed)
-    blocks = _run_blocks(scenario, config, max(rows // scenario.n, 1))
+    blocks = _run_blocks(scenario, config, _REPLAY_ROUNDS)
     with (_forked(blocks, "traced trial's engine") if _workers(2) > 1
           else contextlib.nullcontext(blocks.__next__)) as receive:
         yield from _with_loads(initial, _decoded(scenario, iter(receive, None), outcome))
+
+
+def _trials(scenario, config, trials, write=None):
+    """The ``TrialResult`` of each of ``trials`` runs of ``config`` seeded
+    ``seed, seed+1, ...``, in seed order, mapped through ``_in_order``.
+
+    ``trials`` is checked before anything runs.  A bare trial's result is
+    the one ``_run_blocks`` gives, with no frame recorded or decoded.  When
+    ``write`` is given, the first trial, which ``_in_order`` runs in this
+    process, is recorded instead: ``write`` is called with its
+    ``_recorded_blocks``, which are closed, and so any engine child ended,
+    when it returns or raises.
+    """
+    _check_count("trials", trials, 1)
+
+    def trial(seed):
+        run = replace(config, seed=seed)
+        if write is None or seed > config.seed:
+            ((_, result),) = _run_blocks(scenario, run, None)
+            return result
+        outcome = []
+        with contextlib.closing(_recorded_blocks(scenario, run, outcome)) as blocks:
+            write(blocks)
+        return outcome[0]
+
+    return tuple(_in_order(trial, range(config.seed, config.seed + trials)))
 
 
 def run_trials(
@@ -504,19 +523,13 @@ def run_trials(
 ) -> tuple[TrialResult, ...]:
     """Outcomes of ``trials`` runs seeded ``seed, seed+1, ...``, without recording.
 
-    Each outcome is that of ``run_protocol`` on its seed.  The trials run
-    through ``_in_order``, in forked workers where it forks; the results are
-    in seed order and bit-identical to one process running them all, a
-    worker's exception or death is raised here, and every worker has ended
-    when this returns or raises.
+    Each outcome has the terminal fields of ``run_protocol`` on its seed.
+    The trials run through ``_trials``, in forked workers where it forks;
+    the results are in seed order and bit-identical to one process running
+    them all, a worker's exception or death is raised here, and every
+    worker has ended when this returns or raises.
     """
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {trials})")
-
-    def trial(seed):
-        return run_protocol(scenario, replace(config, seed=seed), record=False).result
-
-    return tuple(_in_order(trial, range(config.seed, config.seed + trials)))
+    return _trials(scenario, config, trials)
 
 
 def run_protocol(
@@ -608,8 +621,8 @@ def batch_run(
     """:func:`summarize` the :func:`run_trials` of ``trials`` runs seeded
     ``seed, seed+1, ...``.
 
-    Each trial's outcome is that of ``run_protocol`` on its seed, without
-    recording, since ``run_trials`` runs it.  The trials are summarized in
+    Each trial's outcome has the terminal fields of ``run_protocol`` on its
+    seed, since ``run_trials`` runs it.  The trials are summarized in
     seed order, so the summary is bit-identical to one process running them
     all.
     """

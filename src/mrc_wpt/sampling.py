@@ -26,9 +26,9 @@ import numpy as np
 from .circuit import (
     LoadVector,
     ReceiverSpec,
-    ScenarioError,
     SystemScenario,
     TransmitterSpec,
+    _check_count,
     solve_closed_form,
 )
 
@@ -66,8 +66,7 @@ def random_scenario(rng: np.random.Generator, n_receivers: int | None = None) ->
     when a demonstrably feasible optimization instance is needed.
     """
     n = int(rng.integers(1, 9)) if n_receivers is None else n_receivers
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ScenarioError(f"n_receivers must be an integer >= 1 (got {n!r})")
+    _check_count("n_receivers", n, 1)
     draw = iter(rng.random(5 + 5 * n).tolist())
     l_tx = _INDUCTANCE(next(draw))
     tx = TransmitterSpec(

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import (
-    ScenarioError,
     SystemScenario,
     _admittance_column,
+    _check_count,
     _closed_form,
     _impedance_matrix,
     _oracle,
@@ -129,10 +129,8 @@ def run_verification(
     """Evaluate every verification property over ``trials`` samples, drawn
     in stream order ``_BLOCK`` at a time and checked in this process, the
     samples of one N at once: the report of checking each sample alone."""
-    if trials < 1:
-        raise ScenarioError(f"trials must be >= 1 (got {trials})")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ScenarioError(f"seed must be an integer >= 0 (got {seed})")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
 
     worst = worst_own = np.zeros(len(_PROPERTIES))
     det_all_positive = True

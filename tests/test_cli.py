@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mrc_wpt import cli, distributed
 from mrc_wpt.circuit import solve_closed_form
 from mrc_wpt.cli import _format_doubles, main
-from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol
+from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol, run_trials
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
@@ -386,12 +386,31 @@ class TestSimulateCommand:
             assert main(args + ["--out", str(plain)]) == 0
             assert read_output(traced)[1][1] == read_output(plain)[1][1] == expected
 
+    def test_bare_trials_decode_nothing(self, tmp_path, fig2):
+        # A bare trial's result comes from the engine: no frame is decoded
+        # and no ProtocolTrace is built by run_trials, batch_run or the
+        # untraced trials of simulate.  One CPU, so that every trial runs
+        # where the spies see it.
+        config = ProtocolConfig(dx=1e-3, k_max=1500, seed=5)
+        args = ["simulate", "--scenario", "paper-fig2", "--kmax", "1500", "--seed", "5",
+                "--trials", "3", "--out", str(tmp_path / "s.csv")]
+        with mock.patch.object(distributed, "_usable_cpus", return_value=1), \
+                mock.patch.object(distributed, "_records", wraps=distributed._records) as records, \
+                mock.patch.object(distributed, "ProtocolTrace") as traces:
+            assert len(run_trials(fig2, config, 3)) == batch_run(fig2, config, 3).trials == 3
+            assert main(args) == 0
+            assert records.call_count == 0
+            # With --trace, the traced trial's one block is decoded, and only it.
+            assert main(args + ["--trace", str(tmp_path / "t.csv")]) == 0
+            assert records.call_count == 1
+        assert traces.call_count == 0
+
     def test_zero_trials_rejected(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         code = main(["simulate", "--scenario", "paper-fig2", "--trials", "0",
                      "--trace", str(trace), "--out", str(tmp_path / "s.csv")])
         assert code == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
+        assert "trials must be an integer >= 1" in capsys.readouterr().err
         assert not trace.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -420,9 +439,10 @@ class TestSimulateCommand:
 class TestParallelWriter:
     """A body of two or more ``_BLOCK``s is formatted block by block in this
     process; it must equal the ``csv.writer`` oracle.  ``simulate --trace``
-    writes trial 0's trace block by block as the child that runs its engine
-    records it, while forked workers run the other trials; a child's failure
-    reaches the caller, and no child may outlive it."""
+    writes trial 0's trace a block of ``_REPLAY_ROUNDS`` rounds at a time as
+    the child that runs its engine records it, while forked workers run the
+    other trials; a child's failure reaches the caller, and no child may
+    outlive it."""
 
     BLOCK = 1000
     SWEEP_POINTS = 3 * BLOCK + 17
@@ -456,10 +476,13 @@ class TestParallelWriter:
         return csv_body(header, rows)
 
     def write_on(self, cpus, args, block=BLOCK):
-        """Run ``main(args)`` with ``cpus`` usable CPUs and ``block``-row
-        blocks; return how many processes it forked."""
+        """Run ``main(args)`` with ``cpus`` usable CPUs, ``block``-row CSV
+        blocks and recorded blocks of ``block // N`` rounds (at least one) for
+        the N receivers of its scenario; return how many processes it forked."""
+        n = load_scenario(args[args.index("--scenario") + 1]).n
         fork = os.fork
         with mock.patch.object(cli, "_BLOCK", block), \
+                mock.patch.object(distributed, "_REPLAY_ROUNDS", max(block // n, 1)), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=cpus), \
                 mock.patch.object(os, "fork", side_effect=fork) as forked:
             assert main(args) == 0
@@ -498,8 +521,8 @@ class TestParallelWriter:
         "n, k_max, block, seed",
         [
             (3, 3000, 7, 5),  # blocks of two rounds
-            (3, 999, 1000, 5),  # k_max < _BLOCK
-            (3, 2000, 1000, 5),  # k_max == 2 * _BLOCK
+            (3, 999, 1000, 5),  # one block of 333 rounds
+            (3, 2000, 1000, 5),  # two blocks and two steps
             (1, 3000, 1000, 32),  # converges mid-block
             (8, 3000, 1000, 2),
             (8, 2000, 7, 2),  # blocks of one round
@@ -688,7 +711,8 @@ class TestParallelWriter:
             data = dumps(obj)
             return data[:len(data) // 2] if sent == 3 else data
 
-        with mock.patch.object(pickle, "dumps", cut), mock.patch.object(cli, "_BLOCK", 1000), \
+        with mock.patch.object(pickle, "dumps", cut), \
+                mock.patch.object(distributed, "_REPLAY_ROUNDS", 1000 // fig3.n), \
                 pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
                                                   r"a result \(exit status 4\)$"):
             self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
@@ -707,7 +731,7 @@ class TestParallelWriter:
     )
     def test_recorded_run_independent_of_block(self, tmp_path, n, k_max, seed, iterations):
         # A converging run, recorded by run_protocol and by simulate --trace
-        # in blocks of 1, 2 and 7 rounds or rows and at the defaults.
+        # in blocks of 1, 2 and 7 rounds and at the default.
         path = tmp_path / "scenario.json"
         save_scenario(self.draw(n), path)
         scenario = load_scenario(path)
@@ -722,7 +746,7 @@ class TestParallelWriter:
             traces.add((trace.records.tobytes(), trace.iterations, trace.converged,
                         trace.feasible, trace.final))
             # On two CPUs, so that each block crosses from the engine's child.
-            self.write_on(2, args, size or cli._BLOCK)
+            self.write_on(2, args, (size or distributed._REPLAY_ROUNDS) * n)
             bodies.add((raw_body(tmp_path / "t.csv"), raw_body(tmp_path / "s.csv")))
         assert (trace.converged, trace.iterations) == (True, iterations)
         assert len(traces) == 1 and len(bodies) == 1
@@ -732,7 +756,7 @@ class TestParallelWriter:
     def test_in_process_recording_in_blocks(self, tmp_path, fig3, threaded):
         # Without a child for its engine, the traced trial still runs and is
         # decoded a block at a time: no engine call has a budget of more than
-        # one block, and no decoded block has more than _BLOCK steps.
+        # one block of 333 rounds, and each decoded block is one call's steps.
         engine, records = distributed._trial_engine, distributed._records
         budgets, decoded = [], []
 
@@ -753,7 +777,7 @@ class TestParallelWriter:
             with mock.patch.object(distributed, "_trial_engine", engine_spy), \
                     mock.patch.object(distributed, "_records", records_spy), \
                     mock.patch.object(distributed, "_usable_cpus", return_value=1 + threaded), \
-                    mock.patch.object(cli, "_BLOCK", self.BLOCK), \
+                    mock.patch.object(distributed, "_REPLAY_ROUNDS", self.BLOCK // fig3.n), \
                     mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
                 assert main(self.trace_args(tmp_path, out, trials=1)) == 0
         finally:
@@ -879,7 +903,7 @@ class TestVerifyCommand:
     def test_zero_trials_rejected(self, capsys):
         assert main(["verify", "--scenario", "paper-fig2", "--trials", "0"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "mrc-grid verify: trials must be >= 1 (got 0)\n"
+        assert captured.err == "mrc-grid verify: trials must be an integer >= 1 (got 0)\n"
         assert captured.out == ""
 
     def test_negative_seed_rejected(self, capsys):
