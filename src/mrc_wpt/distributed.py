@@ -19,13 +19,29 @@ steps take C5 (one full silent round).
 
 Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
 and the step around it twice.  ``_trial_engine``, the one simulator, reads a
-scenario and its ``ProtocolConfig``, and ``_run_blocks`` runs it a block of
-whole rounds per call, carrying the loads and the trailing-C5 count: bare in
-one block, whose result a batch trial takes as it is, or with a step
-recorder that appends one packed frame per step, the step's doubles as
-bytes, to the block's flat buffer, which ``_records`` decodes.  Every
-recorded run, traced, returned or replayed, is cut into blocks of the same
-``_REPLAY_ROUNDS`` whole rounds.
+scenario and its ``ProtocolConfig`` and runs the steps in code generated and
+compiled once per receiver count N, and cached (``_engine``): the step is
+written once, as the source template ``_STEP`` for receiver ``{n}``, and
+instantiated for n = 0, ..., N-1 inside one ``while`` loop over rounds, so
+the whole state of a trial lives in local variables (``x0, t0, q0, p0,
+...``), not in lists, and every tail sum, refresh of the powers and packed
+frame is written out in index order.  The generated code grows as N
+squared (the tail sums and the refreshes); its lines and compile time
+(Python 3.11, one process on a shared 2-core host):
+
+    N                 1     3     8     16     32      64
+    generated lines   76    204   559   1,231  2,959   7,951
+    compile time, ms  0.9   2.3   6.7   17     48      164
+
+``_trials`` compiles a batch's engine before it forks, so the workers
+inherit it, and each source is registered in ``linecache`` under the name
+``<mrc_wpt engine N=...>``, so tracebacks and profilers show its lines.
+``_run_blocks`` runs ``_trial_engine`` a block of whole rounds per call,
+carrying the loads and the trailing-C5 count: bare in one block, whose
+result a batch trial takes as it is, or with a step recorder that appends
+one packed frame per step, the step's doubles as bytes, to the block's flat
+buffer, which ``_records`` decodes.  Every recorded run, traced, returned or
+replayed, is cut into blocks of the same ``_REPLAY_ROUNDS`` whole rounds.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -54,7 +70,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
+import linecache
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -122,7 +141,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dx) and self.dx > 0):
+        if isinstance(self.dx, bool) or not isinstance(self.dx, numbers.Real) or not (
+                math.isfinite(self.dx) and self.dx > 0):  # a bool is no step size
             raise ScenarioError(f"dx must be finite and > 0 (got {self.dx})")
         _check_count("k_max", self.k_max, 1)
         _check_count("seed", self.seed, 0)
@@ -195,6 +215,115 @@ RULE = (1, 1, 2, 2, 5, 5,  # hungry (0); at its peak it waits for others' C3
         5, 5, 5, 5, 5, 5)  # demand met exactly (12)
 
 
+# The step of receiver {n} of {N}, the {m}th of a round, as ``_engine``
+# writes it once per receiver.  Receiver k's load, terms of r_in, power
+# and constants are the locals ``x{k}``, ``t{k}``, ``q{k}``, ``p{k}``,
+# ``w{k}``, ``r{k}``, ``hw{k}``, ``pm{k}``, ``xl{k}`` and ``xh{k}``;
+# ``{tail}`` adds the terms of the receivers after n, and ``{refresh}``
+# redoes every power.  As x_min > 0, x_n - dx > x_min means that lo is
+# x_n - dx.  A load equal to a probed one takes that probe's state (the
+# same bits as computing it); a clamped move computes it.
+_STEP = """\
+        hungry = p{n} < pm{n}
+        others_fed = n_hungry - hungry == 0
+        lo = x{n} - dx
+        if lo <= 0.0:
+            lo = 0.5 * x{n}
+        hi = x{n} + dx
+        d_lo = r{n} + lo
+        d_hi = r{n} + hi
+        t_lo = w{n} / d_lo
+        t_hi = w{n} / d_hi
+        r_lo = s + t_lo{tail}
+        r_hi = s + t_hi{tail}
+        q_lo = hw{n} * lo / (d_lo * d_lo)
+        q_hi = hw{n} * hi / (d_hi * d_hi)
+        p_lo = q_lo / (r_lo * r_lo)
+        p_hi = q_hi / (r_hi * r_hi)
+        if p_hi > p{n}:
+            pos = 0 if p_lo < p{n} else 4
+        elif p_hi < p{n}:
+            pos = 2 if p_lo > p{n} else 4
+        else:
+            pos = 4
+        if not hungry:
+            pos += 6 if p{n} > pm{n} else 12
+        case = RULE[pos + others_fed]
+        if case == 5:
+            if on_step is not None:
+                on_step(pack({n}, p_lo, p_hi, case, x{n}, {powers}))
+            trailing_c5 += 1
+            if trailing_c5 >= {N}:
+                return trailing_c5, n_hungry == 0, k_max - left + {m}
+        else:
+            trailing_c5 = 0
+            if case == 1 or case == 3:
+                x_new = hi if hi < xh{n} else xh{n}
+            else:
+                x_new = lo if x{n} - dx > xl{n} else xl{n}
+            x[{n}] = x_new
+            if on_step is not None:
+                on_step(pack({n}, p_lo, p_hi, case, x_new, {powers}))
+            if x_new != x{n}:
+                if x_new == hi:
+                    t{n}, q{n}, r_in = t_hi, q_hi, r_hi
+                elif x_new == lo:
+                    t{n}, q{n}, r_in = t_lo, q_lo, r_lo
+                else:
+                    d = r{n} + x_new
+                    t{n} = w{n} / d
+                    q{n} = hw{n} * x_new / (d * d)
+                    r_in = s + t{n}{tail}
+                x{n} = x_new
+{refresh}
+        if left == {m}:
+            return trailing_c5, n_hungry == 0, k_max
+"""
+
+
+@functools.cache
+def _engine(n_agents):
+    """The step engine of ``_trial_engine`` for ``n_agents`` receivers: its
+    source, generated with ``_STEP`` once per receiver, is registered in
+    ``linecache`` under its file name ``<mrc_wpt engine N=...>`` and
+    compiled once per process."""
+    agents = range(n_agents)
+
+    def names(prefix, sep=", "):
+        return sep.join(f"{prefix}{k}" for k in agents)
+
+    def refresh(indent):
+        hungry = " + ".join(f"(p{k} < pm{k})" for k in agents)
+        return "\n".join(f"{indent}{line}" for line in (
+            "rr = r_in * r_in", *(f"p{k} = q{k} / rr" for k in agents), f"n_hungry = {hungry}"))
+
+    lines = [
+        "def engine(x, on_step, trailing_c5, k_max, dx, r_tx, wh2, r, hw, p_min, x_min, x_max,",
+        "           RULE=RULE, pack=pack):",
+        *(f"    {names(prefix)}, = {values}" for prefix, values in (
+            ("x", "x"), ("w", "wh2"), ("r", "r"), ("hw", "hw"), ("pm", "p_min"),
+            ("xl", "x_min"), ("xh", "x_max"))),
+        *(f"    d = r{k} + x{k}\n    t{k} = w{k} / d\n    q{k} = hw{k} * x{k} / (d * d)"
+          for k in agents),
+        "    r_in = r_tx + " + names("t", " + "),
+        refresh("    "),
+        "    left = k_max\n    while True:\n        s = r_tx",
+    ]
+    for k in agents:
+        if k:
+            lines.append(f"        s += t{k - 1}")
+        lines.append(_STEP.format(
+            n=k, m=k + 1, N=n_agents, tail="".join(f" + t{j}" for j in agents[k + 1:]),
+            powers=names("p"), refresh=refresh(" " * 16)).rstrip("\n"))
+    lines.append(f"        left -= {n_agents}\n")
+    source = "\n".join(lines)
+    filename = f"<mrc_wpt engine N={n_agents}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"RULE": RULE, "pack": struct.Struct(f"{5 + n_agents}d").pack}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["engine"]
+
+
 def _trial_engine(scenario, x, config, on_step=None, trailing_c5=0):
     """Run ``config.k_max`` steps of a trial of ``scenario`` from receiver 0,
     in place on ``x``, with the step size of ``config``, after
@@ -203,139 +332,35 @@ def _trial_engine(scenario, x, config, on_step=None, trailing_c5=0):
 
     When given, ``on_step`` is called after each step with one packed frame
     per step: the bytes of the ``5 + N`` native doubles ``(n, p_lo, p_hi,
-    case, x[n], *p_work)``, the step's receiver, probes and case, the load it
-    left and the powers ``p_work`` it started from.  The frame is packed by
-    one ``struct.Struct`` built per call.
+    case, x[n], p0, ..., pN-1)``, the step's receiver, probes and case, the
+    load it left and the powers it started from.
 
-    Per receiver the engine keeps ``t[k] = wh2[k] / (r[k] + x[k])``, its
-    share of r_in, and ``q[k]``, its power times r_in squared.  ``s_n`` is
-    the active receiver's prefix ``r_tx + t[0] + ... + t[n-1]``, summed as
-    the round goes.  A probe adds its own term to ``s_n`` and then ``t[n +
-    1:]`` in index order: the operations of ``solve_closed_form`` in its
-    order, so every probe and power is the same to the bit.  A move to a
-    probed load takes that probe's ``t``, ``q`` and r_in; a move clamped to
-    a bound computes them again.  The powers and the hungry count are redone
-    only after a step that changed a load; the loop is counted and its
-    ranges are built once per call.  The case is read from ``RULE`` at an
-    index built inline: a call per step ran about 15% slower on CPython 3.11.
+    The steps run in ``_engine(N)``, compiled once per receiver count N,
+    whose state lives in local variables: per receiver k its load ``xk``
+    (each move is also written to ``x[k]``), ``tk = wh2[k] / (r[k] +
+    x[k])``, its share of r_in, ``qk``, its power times r_in squared, and
+    its power ``pk``; its constants come in as lists from this function.
+    ``s`` is the active receiver's prefix ``r_tx + t0 + ... + t(n-1)``,
+    summed as the round goes.  A probe adds its own term to ``s`` and then
+    those of the receivers after it in index order: the operations of
+    ``solve_closed_form`` in its order, so every probe and power is the same
+    to the bit.  A move to a probed load takes that probe's ``t``, ``q``
+    and r_in; a move clamped to a bound computes them again.  The powers
+    and the hungry count are redone only after a step that changed a load.
+    The case is read from ``RULE``.  The engine's size grows as N squared
+    (see the module docstring).
 
     The state is built from ``x`` at the start in the operations and order
     that keep it, so a run continued by a second call from a round boundary,
     with the first call's ``trailing_c5``, is the run of one call to the bit.
     """
     recs = scenario.receivers
-    r_tx = scenario.tx.r_tx
     half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
     wh2 = list(coupling_ohms2(scenario))
-    r = [rec.r for rec in recs]
-    x_min = [rec.x_min for rec in recs]
-    x_max = [rec.x_max for rec in recs]
-    p_min = [rec.p_min for rec in recs]
-    dx, k_max = config.dx, config.k_max
-    n_agents = len(x)
-    pack = struct.Struct(f"{5 + n_agents}d").pack
-    agents = range(n_agents)
-    tails = [range(k + 1, n_agents) for k in agents]  # the receivers after k
-    hw = [half_v2 * w for w in wh2]
-    t = [0.0] * n_agents
-    q = [0.0] * n_agents
-    p_work = [0.0] * n_agents  # the powers at the current loads
-    r_in = r_tx
-    for k in agents:
-        d = r[k] + x[k]
-        t[k] = wh2[k] / d
-        q[k] = hw[k] * x[k] / (d * d)
-        r_in += t[k]
-    rr = r_in * r_in
-    n_hungry = 0  # receivers whose demand is not met
-    for k in agents:
-        p = q[k] / rr
-        p_work[k] = p
-        n_hungry += p < p_min[k]
-    s_n = r_tx
-    n = 0
-    for steps in range(1, k_max + 1):
-        p_own = p_work[n]
-        p_min_n = p_min[n]
-        hungry = p_own < p_min_n
-        others_fed = n_hungry - hungry == 0
-
-        x_n = x[n]
-        lo = x_n - dx
-        if lo <= 0.0:
-            lo = 0.5 * x_n
-        hi = x_n + dx
-        w_n = wh2[n]
-        r_n = r[n]
-        hw_n = hw[n]
-        d_lo = r_n + lo
-        d_hi = r_n + hi
-        t_lo = w_n / d_lo
-        t_hi = w_n / d_hi
-        r_lo = s_n + t_lo
-        r_hi = s_n + t_hi
-        for k in tails[n]:
-            r_lo += t[k]
-            r_hi += t[k]
-        q_lo = hw_n * lo / (d_lo * d_lo)
-        q_hi = hw_n * hi / (d_hi * d_hi)
-        p_lo = q_lo / (r_lo * r_lo)
-        p_hi = q_hi / (r_hi * r_hi)
-
-        if p_hi > p_own:
-            pos = 0 if p_lo < p_own else 4
-        elif p_hi < p_own:
-            pos = 2 if p_lo > p_own else 4
-        else:
-            pos = 4
-        if not hungry:
-            pos += 6 if p_own > p_min_n else 12
-        case = RULE[pos + others_fed]
-
-        if case == 5:
-            if on_step is not None:
-                on_step(pack(n, p_lo, p_hi, case, x_n, *p_work))
-            trailing_c5 += 1
-            if trailing_c5 >= n_agents:
-                break
-        else:
-            trailing_c5 = 0
-            # (x_min > 0, so x_n - dx > x_min means that lo is x_n - dx.)
-            if case == 1 or case == 3:
-                x_new = hi if hi < x_max[n] else x_max[n]
-            else:
-                x_new = lo if x_n - dx > x_min[n] else x_min[n]
-            x[n] = x_new
-            if on_step is not None:
-                on_step(pack(n, p_lo, p_hi, case, x_new, *p_work))
-            if x_new != x_n:
-                # A load equal to a probed one takes that probe's state (the
-                # same bits as computing it); a clamped move computes it.
-                if x_new == hi:
-                    t[n], q[n], r_in = t_hi, q_hi, r_hi
-                elif x_new == lo:
-                    t[n], q[n], r_in = t_lo, q_lo, r_lo
-                else:
-                    d = r_n + x_new
-                    t[n] = w_n / d
-                    q[n] = hw_n * x_new / (d * d)
-                    r_in = s_n + t[n]
-                    for k in tails[n]:
-                        r_in += t[k]
-                rr = r_in * r_in
-                n_hungry = 0
-                for k in agents:
-                    p = q[k] / rr
-                    p_work[k] = p
-                    n_hungry += p < p_min[k]
-
-        s_n += t[n]
-        n += 1
-        if n == n_agents:
-            n = 0
-            s_n = r_tx
-
-    return trailing_c5, n_hungry == 0, steps
+    return _engine(len(x))(
+        x, on_step, trailing_c5, config.k_max, config.dx, scenario.tx.r_tx, wh2,
+        [rec.r for rec in recs], [half_v2 * w for w in wh2], [rec.p_min for rec in recs],
+        [rec.x_min for rec in recs], [rec.x_max for rec in recs])
 
 
 def _run_blocks(scenario, config, rounds):
@@ -504,6 +529,7 @@ def _trials(scenario, config, trials, write=None):
     when it returns or raises.
     """
     _check_count("trials", trials, 1)
+    _engine(scenario.n)  # compiled here, so that forked workers inherit it
 
     def trial(seed):
         run = replace(config, seed=seed)

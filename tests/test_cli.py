@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import threading
+import time
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -552,8 +553,9 @@ class TestParallelWriter:
     def test_pipes_written_by_one_child_each(self, tmp_path, fig3):
         # Each pipe this process reads has its write end open in one
         # process, the child that writes it, so that its EOF means that
-        # child ended or finished.  Blocks of 63 steps, so that the check
-        # runs while the workers are still busy with their 10,000 steps.
+        # child ended or finished.  The check runs on the first block of 63
+        # steps, while the workers' trials wait for it to end: however fast
+        # the engine, no worker can finish first and close its pipe.
         def pipes(pid):
             """(pipe, writable) for each pipe end open in process ``pid``."""
             ends = set()
@@ -568,6 +570,12 @@ class TestParallelWriter:
 
         checked = []
         columns = cli._trace_columns
+        done = tmp_path / "checked"
+
+        def wait_for_check(in_parent):
+            deadline = time.monotonic() + 60
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(1e-3)
 
         def check_pipes():
             me = os.getpid()
@@ -583,11 +591,16 @@ class TestParallelWriter:
 
         def spy(*args):
             for block in columns(*args):
-                if not checked:
-                    check_pipes()  # checked while the run goes on
+                if not done.exists():
+                    try:
+                        check_pipes()  # checked while the run goes on
+                    finally:
+                        done.touch()
                 yield block
 
-        with mock.patch.object(cli, "_trace_columns", spy):
+        # Trials 1 and 2, seeds 6 and 7, run in the workers.
+        with failing_engine(fig3, 6, wait_for_check), failing_engine(fig3, 7, wait_for_check), \
+                mock.patch.object(cli, "_trace_columns", spy):
             assert self.write_on(3, self.trace_args(tmp_path, tmp_path / "t.csv"), 64) == 3
         assert checked
 

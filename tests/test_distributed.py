@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import time
+import traceback
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -276,7 +277,7 @@ class TestRunProtocol:
         # copy from the step before: only the active receiver's may change.
         rng = np.random.default_rng(8)
         scenario8, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=8))
-        for scenario in (fig3, scenario8):
+        for scenario in (lone_receiver_scenario(), fig3, scenario8):
             x = list(draw_initial_loads(scenario, 9))
             before = list(x)
             moves = []
@@ -405,6 +406,7 @@ class TestBareEqualsRecorded:
             (1, 6),  # stuck at a clamped load: a 1-step cycle
             (8, 3),  # enters a 16-step cycle
             (8, 4),  # still moving at k_max
+            (16, 0),  # still moving at k_max
         ],
     )
     def test_random_bare_equals_recorded(self, n, seed):
@@ -412,7 +414,9 @@ class TestBareEqualsRecorded:
         scenario, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))
         config = ProtocolConfig(dx=1e-3, k_max=20_000, seed=seed)
         (result,) = run_trials(scenario, config, 1)
-        assert_same_outcome(result, run_protocol(scenario, config, record=True))
+        trace = run_protocol(scenario, config, record=True)
+        assert_same_outcome(result, trace)
+        assert verify_trace(scenario, trace) == []
 
 
 
@@ -560,6 +564,59 @@ class TestLoopEnds:
         assert verify_trace(scenario, trace) == []
         (result,) = run_trials(scenario, config, 1)
         assert_same_outcome(result, trace)
+
+
+def draw_with(n, draw):
+    """The ``with_feasible_thresholds`` draw of ``default_rng(draw)`` with
+    ``n`` receivers."""
+    rng = np.random.default_rng(draw)
+    return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0]
+
+
+@pytest.mark.parametrize(
+    "make, dx, seed, carried",
+    [
+        (lambda fig3: fig3, 1e-3, 0, 1),
+        # Converges at step 2218; its silent round straddles a round boundary.
+        (lambda fig3: draw_with(3, 8), 1e-3, 21, 2),
+        (lambda fig3: draw_with(8, 5), 0.05, 2, 1),
+        # dx = 4e-16 leaves some loads unmoved, so their steps are silent.
+        (lambda fig3: draw_with(8, 5), 4e-16, 1, 7),
+    ],
+    ids=["N=3 1", "N=3 N-1", "N=8 1", "N=8 N-1"],
+)
+def test_resumed_after_silent_steps(fig3, make, dx, seed, carried):
+    # A run cut at the first round boundary after exactly ``carried`` C5
+    # steps and resumed with them is the run of one engine call to the bit:
+    # its frames, loads and return value.
+    scenario = make(fig3)
+    config = ProtocolConfig(dx=dx, k_max=3000, seed=seed)
+    x, frames = list(draw_initial_loads(scenario, seed)), bytearray()
+    whole = distributed._trial_engine(scenario, x, config, frames.extend)
+    silent = np.frombuffer(bytes(frames)).reshape(-1, 5 + scenario.n)[:, 3] == Case.C5
+    cut = next(k for k in range(scenario.n, len(silent), scenario.n)
+               if silent[k - carried:k].all() and not silent[k - carried - 1])
+    y, resumed = list(draw_initial_loads(scenario, seed)), bytearray()
+    first = distributed._trial_engine(scenario, y, replace(config, k_max=cut), resumed.extend)
+    assert first[0] == carried and first[2] == cut
+    trailing_c5, feasible, steps = distributed._trial_engine(
+        scenario, y, replace(config, k_max=config.k_max - cut), resumed.extend, carried)
+    assert (trailing_c5, feasible, cut + steps) == whole
+    assert (resumed, y) == (frames, x)
+
+
+def test_engine_lines_in_tracebacks(fig3):
+    # The generated engine's source is in linecache, so a traceback through
+    # it shows the engine's line.
+    def fail(frame):
+        raise ValueError("stop")
+
+    x = list(draw_initial_loads(fig3, 0))
+    with pytest.raises(ValueError, match="^stop$") as info:
+        distributed._trial_engine(fig3, x, ProtocolConfig(k_max=5), fail)
+    frames = traceback.extract_tb(info.value.__traceback__)
+    (engine,) = [frame for frame in frames if frame.filename == "<mrc_wpt engine N=3>"]
+    assert engine.line.startswith("on_step(pack(0, p_lo, p_hi, case, x")
 
 
 def batch_digest(fig3):
@@ -752,6 +809,8 @@ class TestConfig:
             ({"seed": 1.5}, r"seed must be an integer >= 0 \(got 1.5\)"),
             ({"dx": float("inf")}, r"dx must be finite and > 0 \(got inf\)"),
             ({"dx": float("nan")}, r"dx must be finite and > 0 \(got nan\)"),
+            ({"dx": True}, r"dx must be finite and > 0 \(got True\)"),
+            ({"dx": "0.1"}, r"dx must be finite and > 0 \(got 0.1\)"),
             ({"k_max": 2.5}, r"k_max must be an integer >= 1 \(got 2.5\)"),
         ):
             with pytest.raises(ScenarioError, match=message):

@@ -32,7 +32,11 @@ a line of no module, class or function docstring; ``src_lines`` and
 of ``import mrc_wpt`` over 15 fresh processes per side
 (alternating between the sides, bytecode writing off, numpy imported
 first; import is most of the ``setup_s`` of the ``cli`` and ``protocol``
-workloads), the measured code (once the change is committed, ``git rev-parse HEAD:src``
+workloads) and, in the same processes, the median time of the first
+one-step call of the step engine at N = 3 (fig3) and N = 8 (the N = 8
+draw of ``random_scenario(default_rng(3), 8)``) as ``engine_first_call_ms``,
+so that set-up moved into first use, such as compiling the engine, shows
+too, the measured code (once the change is committed, ``git rev-parse HEAD:src``
 gives the recorded hash), and per workload and end-to-end metric the runs,
 median and quartiles of each side and the number of pairs the change won,
 plus each side's failed operations per run and each side's per-layer
@@ -98,10 +102,20 @@ PAIRS = 10
 IMPORTS = 15
 # The operations of one round, in the order the benchmark times them.
 OP_NAMES = {"cli": ("sweep", "optimize", "simulate", "verify", "replay")}
-_TIME_IMPORT = (
-    "import time, numpy; t = time.perf_counter(); import mrc_wpt; "
-    "print(time.perf_counter() - t)"
-)
+# Prints "import <s>", then "N=3 <s>" and "N=8 <s>", the first engine call
+# of one step at N = 3 (fig3) and at N = 8 (a seeded draw).
+_TIME_FIRST_USE = """\
+import time, numpy
+t = time.perf_counter(); import mrc_wpt; print("import", time.perf_counter() - t)
+from mrc_wpt import distributed
+from mrc_wpt.sampling import random_scenario
+from mrc_wpt.scenario_io import load_scenario
+for scenario in load_scenario("paper-fig3"), random_scenario(numpy.random.default_rng(3), 8):
+    x = list(distributed.draw_initial_loads(scenario, 0))
+    t = time.perf_counter()
+    distributed._trial_engine(scenario, x, distributed.ProtocolConfig(k_max=1))
+    print(f"N={scenario.n}", time.perf_counter() - t)
+"""
 
 
 def git(*args: str) -> str:
@@ -153,17 +167,22 @@ def bench_env() -> dict[str, str]:
     return {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 
-def import_ms(trees: dict[str, Path]) -> dict[str, float]:
-    """Per side, the median milliseconds of ``import mrc_wpt`` in a fresh
-    process that writes no bytecode and has imported numpy first."""
-    times: dict[str, list[float]] = {side: [] for side in trees}
+def first_use_ms(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Per side, the median milliseconds of ``import mrc_wpt`` (``import``)
+    and of the first one-step ``_trial_engine`` call at N = 3 and N = 8
+    (``N=3``, ``N=8``) in a fresh process that writes no bytecode and has
+    imported numpy first."""
+    times: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     for _ in range(IMPORTS):
         for side, tree in trees.items():
             env = bench_env() | {"PYTHONPATH": str(tree / "src")}
-            done = subprocess.run([sys.executable, "-B", "-c", _TIME_IMPORT], cwd=tree,
+            done = subprocess.run([sys.executable, "-B", "-c", _TIME_FIRST_USE], cwd=tree,
                                   env=env, check=True, capture_output=True, text=True)
-            times[side].append(1e3 * float(done.stdout))
-    return {side: round(statistics.median(ms), 2) for side, ms in times.items()}
+            for line in done.stdout.splitlines():
+                name, seconds = line.split()
+                times[side].setdefault(name, []).append(1e3 * float(seconds))
+    return {side: {name: round(statistics.median(ms), 2) for name, ms in named.items()}
+            for side, named in times.items()}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -317,8 +336,9 @@ def main(argv=None) -> int:
                                             ("all", "src_lines", "src_module_lines")):
                 record[side][total] = sum(m[kind] for m in lines.values())
                 record[side][per_module] = {module: m[kind] for module, m in lines.items()}
-        for side, ms in import_ms(trees).items():
-            record[side]["import_ms"] = ms
+        for side, ms in first_use_ms(trees).items():
+            record[side]["import_ms"] = ms.pop("import")
+            record[side]["engine_first_call_ms"] = ms
         for k, workload in enumerate(w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(PAIRS):
