@@ -18,30 +18,30 @@ A run terminates after ``k_max`` agent steps, or earlier once N consecutive
 steps take C5 (one full silent round).
 
 Implementation note: the rule C1-C5 is written once, as the table ``RULE``,
-and the step around it twice.  ``_trial_engine``, the one simulator, reads a
-scenario and its ``ProtocolConfig`` and runs the steps in code generated and
-compiled once per receiver count N, and cached (``_engine``): the step is
-written once, as the source template ``_STEP`` for receiver ``{n}``, and
-instantiated for n = 0, ..., N-1 inside one ``while`` loop over rounds, so
-the whole state of a trial lives in local variables (``x0, t0, q0, p0,
-...``), not in lists, and every tail sum, refresh of the powers and packed
-frame is written out in index order.  The generated code grows as N
-squared (the tail sums and the refreshes); its lines and compile time
-(Python 3.11, one process on a shared 2-core host):
+and the step around it twice.  ``_run_blocks``, the one simulator, runs a
+trial of a scenario and its ``ProtocolConfig`` in one call of a generator
+generated and compiled once per receiver count N, and cached (``_engine``):
+the step is written once, as the source template ``_STEP`` for receiver
+``{n}``, and instantiated for n = 0, ..., N-1 inside one ``while`` loop over
+rounds, so the whole state of a trial lives in the generator's local
+variables (``x0, t0, q0, p0, ...``), not in lists, and every tail sum,
+refresh of the powers and packed frame is written out in index order.  The
+generated code grows as N squared (the tail sums and the refreshes); its
+lines and compile time (Python 3.11, median of 5, one process on a shared
+2-core host):
 
     N                 1     3     8     16     32      64
-    generated lines   76    204   559   1,231  2,959   7,951
-    compile time, ms  0.9   2.3   6.7   17     48      164
+    generated lines   88    218   578   1,258  3,002   8,026
+    compile time, ms  1.0   2.3   6.7   16     48      135
 
 ``_trials`` compiles a batch's engine before it forks, so the workers
 inherit it, and each source is registered in ``linecache`` under the name
 ``<mrc_wpt engine N=...>``, so tracebacks and profilers show its lines.
-``_run_blocks`` runs ``_trial_engine`` a block of whole rounds per call,
-carrying the loads and the trailing-C5 count: bare in one block, whose
-result a batch trial takes as it is, or with a step recorder that appends
-one packed frame per step, the step's doubles as bytes, to the block's flat
-buffer, which ``_records`` decodes.  Every recorded run, traced, returned or
-replayed, is cut into blocks of the same ``_REPLAY_ROUNDS`` whole rounds.
+A bare run yields its result once, and a batch trial takes it as it is; a
+recorded run appends one packed frame per step, the step's doubles as
+bytes, to a flat buffer, which ``_records`` decodes, and yields a fresh
+buffer every ``_REPLAY_ROUNDS`` whole rounds: every recorded run, traced,
+returned or replayed, is cut into blocks of that many rounds.
 ``verify_trace`` is an independent array replay of the same step, with its
 own index into ``RULE``, and the tests compare the engine against it.  The
 engine's power expressions mirror operation for operation the one body of
@@ -220,9 +220,11 @@ RULE = (1, 1, 2, 2, 5, 5,  # hungry (0); at its peak it waits for others' C3
 # and constants are the locals ``x{k}``, ``t{k}``, ``q{k}``, ``p{k}``,
 # ``w{k}``, ``r{k}``, ``hw{k}``, ``pm{k}``, ``xl{k}`` and ``xh{k}``;
 # ``{tail}`` adds the terms of the receivers after n, and ``{refresh}``
-# redoes every power.  As x_min > 0, x_n - dx > x_min means that lo is
-# x_n - dx.  A load equal to a probed one takes that probe's state (the
-# same bits as computing it); a clamped move computes it.
+# redoes every power.  ``silent`` counts the consecutive C5 steps and
+# ``put`` appends a frame to the block when recording.  As x_min > 0,
+# x_n - dx > x_min means that lo is x_n - dx.  A load equal to a probed one
+# takes that probe's state (the same bits as computing it); a clamped move
+# computes it.
 _STEP = """\
         hungry = p{n} < pm{n}
         others_fed = n_hungry - hungry == 0
@@ -250,20 +252,20 @@ _STEP = """\
             pos += 6 if p{n} > pm{n} else 12
         case = RULE[pos + others_fed]
         if case == 5:
-            if on_step is not None:
-                on_step(pack({n}, p_lo, p_hi, case, x{n}, {powers}))
-            trailing_c5 += 1
-            if trailing_c5 >= {N}:
-                return trailing_c5, n_hungry == 0, k_max - left + {m}
+            if put is not None:
+                put(pack({n}, p_lo, p_hi, case, x{n}, {powers}))
+            silent += 1
+            if silent >= {N}:
+                steps = k_max - left + {m}
+                break
         else:
-            trailing_c5 = 0
+            silent = 0
             if case == 1 or case == 3:
                 x_new = hi if hi < xh{n} else xh{n}
             else:
                 x_new = lo if x{n} - dx > xl{n} else xl{n}
-            x[{n}] = x_new
-            if on_step is not None:
-                on_step(pack({n}, p_lo, p_hi, case, x_new, {powers}))
+            if put is not None:
+                put(pack({n}, p_lo, p_hi, case, x_new, {powers}))
             if x_new != x{n}:
                 if x_new == hi:
                     t{n}, q{n}, r_in = t_hi, q_hi, r_hi
@@ -277,16 +279,32 @@ _STEP = """\
                 x{n} = x_new
 {refresh}
         if left == {m}:
-            return trailing_c5, n_hungry == 0, k_max
+            steps = k_max
+            break
 """
 
 
 @functools.cache
 def _engine(n_agents):
-    """The step engine of ``_trial_engine`` for ``n_agents`` receivers: its
-    source, generated with ``_STEP`` once per receiver, is registered in
-    ``linecache`` under its file name ``<mrc_wpt engine N=...>`` and
-    compiled once per process."""
+    """The step engine for ``n_agents`` receivers, a generator function that
+    runs one trial, as ``_run_blocks`` calls it.  Its source, generated with
+    ``_STEP`` once per receiver, is registered in ``linecache`` under its
+    file name ``<mrc_wpt engine N=...>`` and compiled once per process.
+
+    The whole state of a trial lives in its local variables: per receiver k
+    its load ``xk``, ``tk = wh2[k] / (r[k] + xk)``, its share of r_in,
+    ``qk``, its power times r_in squared, and its power ``pk``; its
+    constants come in as lists.  ``s`` is the active receiver's prefix
+    ``r_tx + t0 + ... + t(n-1)``, summed as the round goes.  A probe adds
+    its own term to ``s`` and then those of the receivers after it in index
+    order: the operations of ``solve_closed_form`` in its order, so every
+    probe and power is the same to the bit.  A move to a probed load takes
+    that probe's ``t``, ``q`` and r_in; a move clamped to a bound computes
+    them again.  The powers and the hungry count are redone only after a
+    step that changed a load.  The case is read from ``RULE``.  It yields
+    the blocks that ``_run_blocks`` yields, and at the end ``(converged,
+    feasible, steps, loads)`` in place of the ``TrialResult``.
+    """
     agents = range(n_agents)
 
     def names(prefix, sep=", "):
@@ -298,7 +316,7 @@ def _engine(n_agents):
             "rr = r_in * r_in", *(f"p{k} = q{k} / rr" for k in agents), f"n_hungry = {hungry}"))
 
     lines = [
-        "def engine(x, on_step, trailing_c5, k_max, dx, r_tx, wh2, r, hw, p_min, x_min, x_max,",
+        "def engine(x, rounds, k_max, dx, r_tx, wh2, r, hw, p_min, x_min, x_max,",
         "           RULE=RULE, pack=pack):",
         *(f"    {names(prefix)}, = {values}" for prefix, values in (
             ("x", "x"), ("w", "wh2"), ("r", "r"), ("hw", "hw"), ("pm", "p_min"),
@@ -307,7 +325,10 @@ def _engine(n_agents):
           for k in agents),
         "    r_in = r_tx + " + names("t", " + "),
         refresh("    "),
-        "    left = k_max\n    while True:\n        s = r_tx",
+        "    frames = array('d')\n    put = None if rounds is None else frames.frombytes",
+        # A block ends where ``left`` is ``cut``, which a bare run never reaches.
+        f"    size = 0 if rounds is None else rounds * {n_agents}\n    cut = k_max - size",
+        "    left = k_max\n    silent = 0\n    while True:\n        s = r_tx",
     ]
     for k in agents:
         if k:
@@ -315,76 +336,41 @@ def _engine(n_agents):
         lines.append(_STEP.format(
             n=k, m=k + 1, N=n_agents, tail="".join(f" + t{j}" for j in agents[k + 1:]),
             powers=names("p"), refresh=refresh(" " * 16)).rstrip("\n"))
-    lines.append(f"        left -= {n_agents}\n")
+    lines += [f"        left -= {n_agents}\n        if left == cut:\n"
+              "            yield frames, None\n            frames = array('d')\n"
+              "            put = frames.frombytes\n            cut -= size",
+              f"    yield frames, (silent >= {n_agents}, n_hungry == 0, steps, ({names('x')},))\n"]
     source = "\n".join(lines)
     filename = f"<mrc_wpt engine N={n_agents}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"RULE": RULE, "pack": struct.Struct(f"{5 + n_agents}d").pack}
+    namespace = {"RULE": RULE, "pack": struct.Struct(f"{5 + n_agents}d").pack, "array": array}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["engine"]
 
 
-def _trial_engine(scenario, x, config, on_step=None, trailing_c5=0):
-    """Run ``config.k_max`` steps of a trial of ``scenario`` from receiver 0,
-    in place on ``x``, with the step size of ``config``, after
-    ``trailing_c5`` silent steps.  Returns (trailing_c5, feasible, steps):
-    the run converged when the trailing C5 steps reach N.
-
-    When given, ``on_step`` is called after each step with one packed frame
-    per step: the bytes of the ``5 + N`` native doubles ``(n, p_lo, p_hi,
-    case, x[n], p0, ..., pN-1)``, the step's receiver, probes and case, the
-    load it left and the powers it started from.
-
-    The steps run in ``_engine(N)``, compiled once per receiver count N,
-    whose state lives in local variables: per receiver k its load ``xk``
-    (each move is also written to ``x[k]``), ``tk = wh2[k] / (r[k] +
-    x[k])``, its share of r_in, ``qk``, its power times r_in squared, and
-    its power ``pk``; its constants come in as lists from this function.
-    ``s`` is the active receiver's prefix ``r_tx + t0 + ... + t(n-1)``,
-    summed as the round goes.  A probe adds its own term to ``s`` and then
-    those of the receivers after it in index order: the operations of
-    ``solve_closed_form`` in its order, so every probe and power is the same
-    to the bit.  A move to a probed load takes that probe's ``t``, ``q``
-    and r_in; a move clamped to a bound computes them again.  The powers
-    and the hungry count are redone only after a step that changed a load.
-    The case is read from ``RULE``.  The engine's size grows as N squared
-    (see the module docstring).
-
-    The state is built from ``x`` at the start in the operations and order
-    that keep it, so a run continued by a second call from a round boundary,
-    with the first call's ``trailing_c5``, is the run of one call to the bit.
-    """
+def _run_blocks(scenario, config, rounds):
+    """Run the trial of ``config`` on ``scenario`` in one call of the step
+    engine ``_engine(N)``, bare when ``rounds`` is None, else recording one
+    packed frame per step: the bytes of the ``5 + N`` native doubles ``(n,
+    p_lo, p_hi, case, x[n], p0, ..., pN-1)``, the step's receiver, probes
+    and case, the load it left and the powers it started from.  Yield
+    ``(frames, None)`` after every ``rounds`` whole rounds, the block's
+    frames in one ``array("d")`` that is never written again, and at the
+    end ``(frames, result)``, the rest of the frames and the run's
+    ``TrialResult``.  The run stops after ``config.k_max`` steps, or once N
+    consecutive steps took C5, and then it converged."""
     recs = scenario.receivers
     half_v2 = 0.5 * scenario.tx.v_mag * scenario.tx.v_mag
     wh2 = list(coupling_ohms2(scenario))
-    return _engine(len(x))(
-        x, on_step, trailing_c5, config.k_max, config.dx, scenario.tx.r_tx, wh2,
-        [rec.r for rec in recs], [half_v2 * w for w in wh2], [rec.p_min for rec in recs],
-        [rec.x_min for rec in recs], [rec.x_max for rec in recs])
-
-
-def _run_blocks(scenario, config, rounds):
-    """Run the trial of ``config`` on ``scenario`` ``rounds`` whole rounds at
-    a time, one ``_trial_engine`` call per block that carries on from the
-    last with its loads and trailing-C5 count, or in one block without
-    recording when ``rounds`` is None.  Yield ``(frames, None)`` per block,
-    its packed frames in one ``array("d")``, and for the last block
-    ``(frames, result)``, the run's ``TrialResult``."""
-    x = list(draw_initial_loads(scenario, config.seed))
-    size = config.k_max if rounds is None else rounds * scenario.n  # steps per block
-    trailing_c5 = 0
-    for start in range(0, config.k_max, size):
-        frames = array("d")
-        block = replace(config, k_max=min(size, config.k_max - start))
-        on_step = None if rounds is None else frames.frombytes
-        trailing_c5, feasible, steps = _trial_engine(scenario, x, block, on_step, trailing_c5)
-        steps += start
-        converged = trailing_c5 >= scenario.n
-        if converged or steps == config.k_max:
-            p_tx = solve_closed_form(scenario, x).p_tx
-            yield frames, TrialResult(config.seed, converged, feasible, steps, p_tx, tuple(x))
-            return
-        yield frames, None
+    blocks = _engine(scenario.n)(
+        draw_initial_loads(scenario, config.seed), rounds, config.k_max, config.dx,
+        scenario.tx.r_tx, wh2, [rec.r for rec in recs], [half_v2 * w for w in wh2],
+        [rec.p_min for rec in recs], [rec.x_min for rec in recs], [rec.x_max for rec in recs])
+    for frames, end in blocks:
+        if end is not None:  # (converged, feasible, steps, loads)
+            *flags, final = end
+            end = TrialResult(config.seed, *flags, solve_closed_form(scenario, final).p_tx, final)
+        yield frames, end
 
 
 def _load_matrix(initial, x_new) -> np.ndarray:
@@ -696,7 +682,7 @@ def verify_trace(scenario: SystemScenario, trace: ProtocolTrace) -> list[str]:
     step has loads that the kernel can evaluate; initial loads that are not
     all positive are reported and no step is replayed.  The terminal checks
     run in every case; the stop rule's count of trailing C5 steps is carried
-    from block to block, as ``_run_blocks`` carries it.
+    from block to block, as the engine keeps it across its blocks.
     """
     violations: list[str] = []
     n_agents = scenario.n

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import struct
@@ -35,19 +36,35 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_engine(scenario, seed, fail):
-    """A patch of ``_trial_engine`` that calls ``fail(in_parent)`` on the
-    trial of ``scenario`` that starts from ``seed``'s initial loads."""
-    engine = distributed._trial_engine
-    loads = list(distributed.draw_initial_loads(scenario, seed))
+def failing_engine(seed, fail):
+    """A patch of ``_run_blocks`` that calls ``fail(in_parent)`` when the
+    trial of ``seed`` starts to run, in the process that iterates it."""
+    run_blocks = distributed._run_blocks
     parent = os.getpid()
 
-    def fake(scenario, x, *args):
-        if x == loads:
+    def fake(scenario, config, rounds):
+        if config.seed == seed:
             fail(os.getpid() == parent)
-        return engine(scenario, x, *args)
+        yield from run_blocks(scenario, config, rounds)
 
-    return mock.patch.object(distributed, "_trial_engine", fake)
+    return mock.patch.object(distributed, "_run_blocks", fake)
+
+
+@contextlib.contextmanager
+def engine_runs():
+    """Patch ``_engine`` to list every run of a step engine that starts, as
+    its generator, and yield the list."""
+    engine, runs = distributed._engine, []
+
+    def spy(n_agents):
+        def start(*args):
+            runs.append(engine(n_agents)(*args))
+            return runs[-1]
+
+        return start
+
+    with mock.patch.object(distributed, "_engine", spy):
+        yield runs
 
 
 def fig3_with_p3(fig3, p3):

@@ -59,6 +59,20 @@ def test_one_fork_and_one_runner():
     assert private == ["_trials"]
 
 
+def test_one_generated_engine():
+    # The package compiles and runs generated code only in distributed._engine,
+    # so the step engine it generates is the only engine path.
+    calls = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("exec", "compile")):
+                    calls.append((path.stem, getattr(top, "name", None), node.func.id))
+    assert sorted(calls) == [("distributed", "_engine", "compile"),
+                             ("distributed", "_engine", "exec")]
+
+
 # Each entry point's count or seed check: (call with the value, name, least).
 COUNTS = {
     "ProtocolConfig k_max": (lambda s, v: ProtocolConfig(k_max=v), "k_max", 1),

@@ -23,7 +23,7 @@ from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol, r
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
-from helpers import assert_no_child_left, failing_engine
+from helpers import assert_no_child_left, engine_runs, failing_engine
 
 
 def read_output(path):
@@ -599,7 +599,7 @@ class TestParallelWriter:
                 yield block
 
         # Trials 1 and 2, seeds 6 and 7, run in the workers.
-        with failing_engine(fig3, 6, wait_for_check), failing_engine(fig3, 7, wait_for_check), \
+        with failing_engine(6, wait_for_check), failing_engine(7, wait_for_check), \
                 mock.patch.object(cli, "_trace_columns", spy):
             assert self.write_on(3, self.trace_args(tmp_path, tmp_path / "t.csv"), 64) == 3
         assert checked
@@ -647,7 +647,7 @@ class TestParallelWriter:
         ``fail(in_parent)`` on trial 1, which the child runs."""
         out = tmp_path / "t.csv"
         try:
-            with failing_engine(fig3, 6, fail), \
+            with failing_engine(6, fail), \
                     mock.patch.object(distributed, "_usable_cpus", return_value=2):
                 main(self.trace_args(tmp_path, out, trials=2))
         finally:
@@ -675,36 +675,36 @@ class TestParallelWriter:
         assert_no_child_left()
 
 
-    def simulate_traced(self, tmp_path, fig3, engine):
-        """``simulate --trials 1 --trace`` on two CPUs with ``_trial_engine``
-        patched to ``engine``; return the trace rows written."""
+    def simulate_traced(self, tmp_path, fail=lambda in_parent: None):
+        """``simulate --trials 1 --trace`` on two CPUs; the engine calls
+        ``fail(in_parent)`` as the traced trial, seed 5, starts to run.
+        Return the trace rows written."""
         out = tmp_path / "t.csv"
         try:
-            with mock.patch.object(distributed, "_trial_engine", engine), \
+            with failing_engine(5, fail), \
                     mock.patch.object(distributed, "_usable_cpus", return_value=2):
                 main(self.trace_args(tmp_path, out, trials=1))
         finally:
             assert_no_child_left()
         return raw_body(out).splitlines(keepends=True)[1:]
 
-    def test_engine_exception_reaches_caller(self, tmp_path, fig3):
+    def test_engine_exception_reaches_caller(self, tmp_path):
         def fail(in_parent):
             assert not in_parent
             raise ValueError("boom")
 
-        with failing_engine(fig3, 5, fail), pytest.raises(ValueError, match="^boom$"):
-            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
+        with pytest.raises(ValueError, match="^boom$"):
+            self.simulate_traced(tmp_path, fail)
 
-    def test_dead_engine_raises(self, tmp_path, fig3):
+    def test_dead_engine_raises(self, tmp_path):
         def fail(in_parent):
             if in_parent:
                 raise AssertionError("the traced trial's engine ran in the caller")
             os._exit(3)
 
-        with failing_engine(fig3, 5, fail), \
-                pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
-                                                  r"a result \(exit status 3\)$"):
-            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
+        with pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
+                                               r"a result \(exit status 3\)$"):
+            self.simulate_traced(tmp_path, fail)
 
     def test_engine_dead_mid_block(self, tmp_path, fig3):
         # The engine's child sends two whole blocks of 999 steps and half of
@@ -728,7 +728,7 @@ class TestParallelWriter:
                 mock.patch.object(distributed, "_REPLAY_ROUNDS", 1000 // fig3.n), \
                 pytest.raises(RuntimeError, match=r"^traced trial's engine \d+ ended without "
                                                   r"a result \(exit status 4\)$"):
-            self.simulate_traced(tmp_path, fig3, distributed._trial_engine)
+            self.simulate_traced(tmp_path)
         rows = raw_body(tmp_path / "t.csv").splitlines(keepends=True)[1:]
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
         assert rows == self.trace_body(fig3, trace).splitlines(keepends=True)[1:1 + 2 * 999]
@@ -768,14 +768,9 @@ class TestParallelWriter:
     @pytest.mark.parametrize("threaded", [False, True], ids=["one CPU", "threaded caller"])
     def test_in_process_recording_in_blocks(self, tmp_path, fig3, threaded):
         # Without a child for its engine, the traced trial still runs and is
-        # decoded a block at a time: no engine call has a budget of more than
-        # one block of 333 rounds, and each decoded block is one call's steps.
-        engine, records = distributed._trial_engine, distributed._records
-        budgets, decoded = [], []
-
-        def engine_spy(scenario, x, config, *args):
-            budgets.append(config.k_max)
-            return engine(scenario, x, config, *args)
+        # decoded a block at a time, in blocks of 333 rounds; each of the two
+        # trials is one run of the step engine.
+        records, decoded = distributed._records, []
 
         def records_spy(scenario, frames):
             decoded.append(len(block := records(scenario, frames)))
@@ -787,17 +782,17 @@ class TestParallelWriter:
         if threaded:
             thread.start()
         try:
-            with mock.patch.object(distributed, "_trial_engine", engine_spy), \
+            with engine_runs() as runs, \
                     mock.patch.object(distributed, "_records", records_spy), \
                     mock.patch.object(distributed, "_usable_cpus", return_value=1 + threaded), \
                     mock.patch.object(distributed, "_REPLAY_ROUNDS", self.BLOCK // fig3.n), \
                     mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-                assert main(self.trace_args(tmp_path, out, trials=1)) == 0
+                assert main(self.trace_args(tmp_path, out, trials=2)) == 0
         finally:
             release.set()
             if threaded:
                 thread.join()
-        assert budgets == [999] * 10 + [10] and decoded == budgets
+        assert len(runs) == 2 and decoded == [999] * 10 + [10]
         trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=self.TRACE_STEPS, seed=5))
         assert raw_body(out) == self.trace_body(fig3, trace)
 

@@ -36,7 +36,13 @@ from mrc_wpt.distributed import (
 )
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 
-from helpers import assert_no_child_left, failing_engine, fig3_with_p3, wide_systems
+from helpers import (
+    assert_no_child_left,
+    engine_runs,
+    failing_engine,
+    fig3_with_p3,
+    wide_systems,
+)
 
 BENCH_LOADS = (7.5, 7.5, 7.5)
 
@@ -273,24 +279,17 @@ class TestRunProtocol:
                 assert rec.x_min <= x <= rec.x_max
 
     def test_single_mutator(self, fig3):
-        # A spy compares the engine's own loads after every step with their
-        # copy from the step before: only the active receiver's may change.
+        # Only the active receiver's load changes at a step: the replay, which
+        # moves only the active receiver, finds every step and the final loads.
         rng = np.random.default_rng(8)
         scenario8, _ = with_feasible_thresholds(rng, random_scenario(rng, n_receivers=8))
         for scenario in (lone_receiver_scenario(), fig3, scenario8):
-            x = list(draw_initial_loads(scenario, 9))
-            before = list(x)
-            moves = []
-
-            def spy(step):
-                n = int(np.frombuffer(step)[0])
-                changed = [k for k in range(len(x)) if x[k] != before[k]]
-                assert changed in ([], [n])
-                moves.extend(changed)
-                before[:] = x
-
-            distributed._trial_engine(scenario, x, ProtocolConfig(dx=1e-3, k_max=2000), spy)
-            assert set(moves) == set(range(scenario.n))
+            trace = run_protocol(scenario, ProtocolConfig(dx=1e-3, k_max=2000, seed=9))
+            assert verify_trace(scenario, trace) == []
+            loads = _load_matrix(trace.initial, trace.records["x_new"])
+            assert trace.final == tuple(loads[-1].tolist())
+            moved = trace.records["agent"][(loads[1:] != loads[:-1]).any(axis=1)]
+            assert set(moved.tolist()) == set(range(scenario.n))
 
     def test_convergence_at_own_peak(self):
         # A lone fed receiver descending from above parks at its power peak
@@ -573,50 +572,62 @@ def draw_with(n, draw):
     return with_feasible_thresholds(rng, random_scenario(rng, n_receivers=n))[0]
 
 
+def assert_blocks_whole(scenario, config, rounds):
+    """A run recorded ``rounds`` whole rounds per block: every block but the
+    last holds exactly that many steps, the last is not empty, and the joined
+    frames and result are those of a run recorded in one block and of a bare
+    run."""
+    blocks = list(distributed._run_blocks(scenario, config, rounds))
+    width = 5 + scenario.n  # doubles per frame
+    *cut, (last, result) = blocks
+    assert [len(frames) for frames, _ in cut] == [rounds * scenario.n * width] * len(cut)
+    assert all(end is None for _, end in cut) and result is not None
+    assert 0 < len(last) <= rounds * scenario.n * width and len(last) % width == 0
+    ((whole, one),) = distributed._run_blocks(scenario, config, config.k_max)
+    assert b"".join(frames.tobytes() for frames, _ in blocks) == whole.tobytes()
+    assert result == one and result.iterations * width == len(whole)
+    ((frames, bare),) = distributed._run_blocks(scenario, config, None)
+    assert bare == result and len(frames) == 0
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 7])
 @pytest.mark.parametrize(
-    "make, dx, seed, carried",
+    "make, dx, seed",
     [
-        (lambda fig3: fig3, 1e-3, 0, 1),
+        (lambda fig3: fig3, 1e-3, 0),
         # Converges at step 2218; its silent round straddles a round boundary.
-        (lambda fig3: draw_with(3, 8), 1e-3, 21, 2),
-        (lambda fig3: draw_with(8, 5), 0.05, 2, 1),
+        (lambda fig3: draw_with(3, 8), 1e-3, 21),
+        (lambda fig3: draw_with(8, 5), 0.05, 2),
         # dx = 4e-16 leaves some loads unmoved, so their steps are silent.
-        (lambda fig3: draw_with(8, 5), 4e-16, 1, 7),
+        (lambda fig3: draw_with(8, 5), 4e-16, 1),
     ],
-    ids=["N=3 1", "N=3 N-1", "N=8 1", "N=8 N-1"],
+    ids=["N=3", "N=3 converges", "N=8", "N=8 silent"],
 )
-def test_resumed_after_silent_steps(fig3, make, dx, seed, carried):
-    # A run cut at the first round boundary after exactly ``carried`` C5
-    # steps and resumed with them is the run of one engine call to the bit:
-    # its frames, loads and return value.
-    scenario = make(fig3)
-    config = ProtocolConfig(dx=dx, k_max=3000, seed=seed)
-    x, frames = list(draw_initial_loads(scenario, seed)), bytearray()
-    whole = distributed._trial_engine(scenario, x, config, frames.extend)
-    silent = np.frombuffer(bytes(frames)).reshape(-1, 5 + scenario.n)[:, 3] == Case.C5
-    cut = next(k for k in range(scenario.n, len(silent), scenario.n)
-               if silent[k - carried:k].all() and not silent[k - carried - 1])
-    y, resumed = list(draw_initial_loads(scenario, seed)), bytearray()
-    first = distributed._trial_engine(scenario, y, replace(config, k_max=cut), resumed.extend)
-    assert first[0] == carried and first[2] == cut
-    trailing_c5, feasible, steps = distributed._trial_engine(
-        scenario, y, replace(config, k_max=config.k_max - cut), resumed.extend, carried)
-    assert (trailing_c5, feasible, cut + steps) == whole
-    assert (resumed, y) == (frames, x)
+def test_blocks_across_silent_steps(fig3, make, dx, seed, rounds):
+    # Blocks of one round end after every run of C5 steps that does not end
+    # the run, and inside the N=3 run's final silent round.
+    assert_blocks_whole(make(fig3), ProtocolConfig(dx=dx, k_max=3000, seed=seed), rounds)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(0, 2**16), st.sampled_from([1e-3, 0.05]),
+       st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**16))
+def test_blocks_of_any_size(n, draw, dx, k_max, rounds, seed):
+    # Budgets below N and off a multiple of N end inside a round.
+    assert_blocks_whole(draw_with(n, draw), ProtocolConfig(dx=dx, k_max=k_max, seed=seed), rounds)
 
 
 def test_engine_lines_in_tracebacks(fig3):
     # The generated engine's source is in linecache, so a traceback through
-    # it shows the engine's line.
-    def fail(frame):
-        raise ValueError("stop")
-
-    x = list(draw_initial_loads(fig3, 0))
+    # it shows the engine's line: here the yield of a block.
+    with engine_runs() as runs:
+        next(distributed._run_blocks(fig3, ProtocolConfig(k_max=10), 1))
+    (run,) = runs
     with pytest.raises(ValueError, match="^stop$") as info:
-        distributed._trial_engine(fig3, x, ProtocolConfig(k_max=5), fail)
+        run.throw(ValueError("stop"))
     frames = traceback.extract_tb(info.value.__traceback__)
     (engine,) = [frame for frame in frames if frame.filename == "<mrc_wpt engine N=3>"]
-    assert engine.line.startswith("on_step(pack(0, p_lo, p_hi, case, x")
+    assert engine.line == "yield frames, None"
 
 
 def batch_digest(fig3):
@@ -732,7 +743,7 @@ class TestParallelTrials:
     def run_two_workers(self, fig3, fail):
         """Two trials, seeds 0 and 1, on two workers: seed 1 runs in the child."""
         config = ProtocolConfig(dx=1e-3, k_max=200, seed=0)
-        with failing_engine(fig3, 1, fail), \
+        with failing_engine(1, fail), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=2):
             run_trials(fig3, config, 2)
 
@@ -777,7 +788,7 @@ class TestParallelTrials:
 
         t0 = time.perf_counter()
         # Seed 0 runs in the caller and is interrupted while seed 1's worker sleeps.
-        with failing_engine(fig3, 1, fail), failing_engine(fig3, 0, fail), \
+        with failing_engine(1, fail), failing_engine(0, fail), \
                 mock.patch.object(distributed, "_usable_cpus", return_value=2):
             with pytest.raises(KeyboardInterrupt):
                 run_trials(fig3, ProtocolConfig(dx=1e-3, k_max=200, seed=0), 2)

@@ -102,18 +102,18 @@ PAIRS = 10
 IMPORTS = 15
 # The operations of one round, in the order the benchmark times them.
 OP_NAMES = {"cli": ("sweep", "optimize", "simulate", "verify", "replay")}
-# Prints "import <s>", then "N=3 <s>" and "N=8 <s>", the first engine call
-# of one step at N = 3 (fig3) and at N = 8 (a seeded draw).
+# Prints "import <s>", then "N=3 <s>" and "N=8 <s>", the first one-step
+# run of the step engine at N = 3 (fig3) and at N = 8 (a seeded draw).
 _TIME_FIRST_USE = """\
-import time, numpy
+import collections, time, numpy
 t = time.perf_counter(); import mrc_wpt; print("import", time.perf_counter() - t)
 from mrc_wpt import distributed
 from mrc_wpt.sampling import random_scenario
 from mrc_wpt.scenario_io import load_scenario
+config = distributed.ProtocolConfig(k_max=1)
 for scenario in load_scenario("paper-fig3"), random_scenario(numpy.random.default_rng(3), 8):
-    x = list(distributed.draw_initial_loads(scenario, 0))
     t = time.perf_counter()
-    distributed._trial_engine(scenario, x, distributed.ProtocolConfig(k_max=1))
+    collections.deque(distributed._run_blocks(scenario, config, None), 0)
     print(f"N={scenario.n}", time.perf_counter() - t)
 """
 
@@ -169,7 +169,7 @@ def bench_env() -> dict[str, str]:
 
 def first_use_ms(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
     """Per side, the median milliseconds of ``import mrc_wpt`` (``import``)
-    and of the first one-step ``_trial_engine`` call at N = 3 and N = 8
+    and of the first one-step bare ``_run_blocks`` run at N = 3 and N = 8
     (``N=3``, ``N=8``) in a fresh process that writes no bytecode and has
     imported numpy first."""
     times: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
