@@ -6,11 +6,13 @@ version, timestamp); the CSV body below it is byte-reproducible for a given
 manifest.  Data goes to the requested output paths, diagnostics to stderr;
 a nonzero exit code always means something went wrong (for ``verify``, that
 a property failed).  CSV bodies are formatted in numpy arrays, a block of
-rows at a time.  ``simulate`` runs its trials through ``distributed._trials``,
-the runner of ``run_trials``; with ``--trace`` it gives that runner a writer
-for the first trial's blocks of whole rounds, which this process formats
-and writes, in bounded memory, as they are recorded.  Which process runs
-each trial, and the traced trial's engine, is decided there.
+rows at a time, into one table of fixed-width fields; only a block with a
+field whose values differ in width has its padding dropped.  ``simulate``
+runs its trials through ``distributed._trials``, the runner of
+``run_trials``; with ``--trace`` it gives that runner a writer for the first
+trial's blocks of whole rounds, which this process formats and writes, in
+bounded memory, as they are recorded.  Which process runs each trial, and
+the traced trial's engine, is decided there.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ __all__ = ["main"]
 _BLOCK = 8192
 
 # Tables of the double formatter: 10**s for the scale exponents s, then the
-# bytes of the 4-digit groups "0000" to "9999", of "  d." for a leading digit
-# d and of "e-06" to "e+15", each 4-byte text read as one uint32.
+# bytes of the 4-digit groups "0000" to "9999", of the lead word "\0\0d." of
+# a positive and "\0-d." of a negative leading digit d (in that order) and of
+# "e-06" to "e+15", each 4-byte text read as one uint32.
 _POW10 = 10.0 ** np.arange(23)
 _DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
 _DIGITS = _DIGITS.view(np.uint32).ravel()
-_LEAD = np.array([b"  %d." % d for d in range(10)]).view(np.uint32)
+_LEAD = np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)])
+_LEAD = _LEAD.view(np.uint32)
 _EXPONENT = np.array([b"e%+03d" % e for e in range(-6, 16)]).view(np.uint32)
 
 
@@ -73,62 +77,82 @@ def _split(a):
     return high, a - high
 
 
-def _format_doubles(x: np.ndarray) -> np.ndarray:
-    """``b"%.16e" % v`` for every element ``v`` of ``x``, as an ``S24`` array.
+def _format_doubles(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``b"%.16e" % v`` for every element ``v`` of ``x``, right-aligned in
+    rows of 24 bytes after zero bytes, and whether the column is padded.
 
     Every finite ``|v|`` in (1e-6, 1e16) has the decimal exponent ``E`` in
     [-6, 15], so ``10**(16 - E)`` is an exact double and Dekker's exact
     product (Numer. Math. 18, 1971) gives ``|v| * 10**(16 - E) = hi + lo``
     without error.  Its 17 digits are ``N = hi + rint(lo)``, rounded half to
     even as ``%`` rounds, because ``hi`` is an even integer there.  ``E``
-    comes from ``log10``.  Where that is off by one (next to a power of
-    ten), where ``N`` rounds up to ``10**17``, and for every other value
-    (zero, subnormal, inf, nan, out of range) the element is formatted with
-    ``%`` instead, so every element is exact.
+    comes from ``log10``.  Each row is built in place as six words: the lead
+    word of its sign and leading digit, four 4-digit groups and the
+    exponent.  Where ``E`` is off by one (next to a power of ten), where
+    ``N`` rounds up to ``10**17``, and for every other value (zero,
+    subnormal, inf, nan, out of range) the row is formatted with ``%``
+    instead, so every row is exact.
+
+    Only a column of positive values in (1e-6, 1e16), whose texts all have
+    22 bytes, is not padded: it is returned as its rows' last 22 bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
-    fast = np.flatnonzero((a > 1e-6) & (a < 1e16))
-    a = a[fast]
+    fast = (a > 1e-6) & (a < 1e16)
+    neg = x < 0
+    # The text of every positive value in that range has 22 bytes.
+    padded = bool(neg.any()) or not fast.all()
+    a = np.where(fast, a, 1.0)  # a row that is not fast is formatted by % below
     e = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 15)
     b = _POW10[16 - e]
     hi = a * b
     (ah, al), (bh, bl) = _split(a), _split(b)
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    exact = ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (n < 10**17)
-    fast, e, n = fast[exact], e[exact], n[exact]
-    lead, n = np.divmod(n, 10**16)
-    high, low = np.divmod(n, 10**8)
-    words = np.empty((len(fast), 6), np.uint32)
-    words[:, 0] = _LEAD[lead]
-    words[:, 1:3] = _DIGITS[np.stack(np.divmod(high.astype(np.uint32), np.uint32(10**4)), 1)]
-    words[:, 3:5] = _DIGITS[np.stack(np.divmod(low.astype(np.uint32), np.uint32(10**4)), 1)]
-    words[:, 5] = _EXPONENT[e + 6]
-    text = words.view(np.uint8)[:, 2:]
-    out = np.zeros((len(x), 24), np.uint8)
-    out[fast, :22] = text
-    neg = x[fast] < 0
-    out[fast[neg], 0] = ord("-")
-    out[fast[neg], 1:23] = text[neg]
-    slow = np.flatnonzero(out[:, 0] == 0)
-    out = out.view("S24").ravel()
+    fast &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (n < 10**17)
+    lead = n // 10**16
+    n -= lead * 10**16
+    high = n // 10**8
+    words = np.empty((len(x), 6), np.uint32)
+    # A row that is not fast may have 10 or more as its leading digit, and
+    # "clip" then takes some word that is replaced below.
+    np.take(_LEAD, lead + 10 * neg, out=words[:, 0], mode="clip")
+    for j, half in enumerate((high, n - high * 10**8)):
+        half = half.astype(np.uint32)
+        top = half // np.uint32(10**4)
+        np.take(_DIGITS, top, out=words[:, 1 + 2 * j], mode="clip")
+        np.take(_DIGITS, half - top * np.uint32(10**4), out=words[:, 2 + 2 * j], mode="clip")
+    np.take(_EXPONENT, e + 6, out=words[:, 5], mode="clip")
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
     if slow.size:
-        out[slow] = [b"%.16e" % v for v in x[slow].tolist()]
-    return out
+        text[slow] = np.array([(b"%.16e" % v).rjust(24, b"\0") for v in x[slow].tolist()],
+                              "S24").view(np.uint8).reshape(-1, 24)
+    return (text, True) if padded else (text[:, 2:], False)
 
 
-def _format_counts(v: np.ndarray) -> np.ndarray:
-    """Decimal text of the non-negative integers ``v`` in 4-digit groups from
-    ``_DIGITS``, leading zeros made zero bytes, which the rows' join drops."""
+def _format_counts(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Decimal text of the non-negative integers ``v``, right-aligned in
+    rows as wide as the longest, in 4-digit groups from ``_DIGITS``; and
+    whether any text is shorter, its leading zeros then made zero bytes."""
     v = v.astype(np.uint64)
-    words = np.empty((len(v), (len(str(v.max())) + 3) // 4), np.uint32)
+    shortest, longest = len(str(v.min())), len(str(v.max()))
+    words = np.empty((len(v), (longest + 3) // 4), np.uint32)
     for j in reversed(range(words.shape[1])):
-        v, low = np.divmod(v, np.uint64(10**4))
-        words[:, j] = _DIGITS[low]
-    head = words.view(np.uint8)[:, :-1]
-    head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
-    return words.view(f"S{words.itemsize * words.shape[1]}").ravel()
+        top = v // np.uint64(10**4)
+        np.take(_DIGITS, v - top * np.uint64(10**4), out=words[:, j], mode="clip")
+        v = top
+    text = words.view(np.uint8)
+    if shortest < longest:
+        head = text[:, :-1]
+        head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
+    return text[:, -longest:], shortest < longest
+
+
+def _drop_padding(lines: np.ndarray) -> np.ndarray:
+    """The bytes of the rows ``lines`` without the zero bytes that pad their
+    shorter fields."""
+    return lines[lines != 0]
 
 
 def _write_csv(path: str, manifest: str, header: list[str], blocks) -> None:
@@ -139,28 +163,40 @@ def _write_csv(path: str, manifest: str, header: list[str], blocks) -> None:
 
     No field needs quoting and lines end in CRLF, so the body is what
     ``csv.writer`` writes for the same fields.  Rows are formatted and
-    written at most ``_BLOCK`` at a time, each field as a fixed-width byte
-    column whose padding is dropped when the block's fields are joined.
+    written at most ``_BLOCK`` at a time, each field as a byte column as wide
+    as its longest value, copied into one table of rows with the commas and
+    line ends.  A field whose values all have that width has no padding:
+    positive doubles in (1e-6, 1e16), counts whose smallest and largest have
+    the same number of digits, bytes with no zero byte.  Any other field pads
+    its shorter values with zero bytes, and only a block with such a field
+    has its zero bytes dropped.
     """
     with open(path, "wb") as fh:
         fh.write(f"{manifest}\n{','.join(header)}\r\n".encode())
         for columns in blocks:
             columns = [np.atleast_1d(c) for c in columns]
             for start in range(0, len(columns[0]), _BLOCK):
-                parts = []
+                fields, padded = [], False
                 for c in columns:
                     c = c[start:start + _BLOCK]
                     if c.dtype.kind == "f":
-                        c = _format_doubles(c)
+                        text, pads = _format_doubles(c)
                     elif c.dtype.kind in "iu" and c.min() >= 0:
-                        c = _format_counts(c)
-                    elif c.dtype.kind != "S":
-                        c = c.astype("S20")
-                    comma = np.full((len(c), 1), ord(","), np.uint8)
-                    parts += [c.view(np.uint8).reshape(len(c), -1), comma]
-                lines = np.hstack(parts + [comma])
+                        text, pads = _format_counts(c)
+                    else:
+                        text = (c if c.dtype.kind == "S" else c.astype("S20")).view(np.uint8)
+                        text = text.reshape(len(c), -1)
+                        pads = not text.all()
+                    fields.append(text)
+                    padded |= pads
+                lines = np.full((len(text), sum(t.shape[1] + 1 for t in fields) + 1),
+                                ord(","), np.uint8)
+                at = 0
+                for text in fields:
+                    lines[:, at:at + text.shape[1]] = text
+                    at += text.shape[1] + 1
                 lines[:, -2:] = (ord("\r"), ord("\n"))
-                fh.write(lines[lines != 0].tobytes())
+                fh.write(_drop_padding(lines) if padded else lines)
 
 
 def _trace_columns(scenario, blocks):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import tempfile
 import threading
 import time
 import warnings
@@ -23,7 +24,7 @@ from mrc_wpt.distributed import Case, ProtocolConfig, batch_run, run_protocol, r
 from mrc_wpt.sampling import random_scenario, with_feasible_thresholds
 from mrc_wpt.scenario_io import load_scenario, save_scenario
 
-from helpers import assert_no_child_left, engine_runs, failing_engine
+from helpers import assert_no_child_left, engine_runs, failing_engine, wide_systems
 
 
 def read_output(path):
@@ -809,9 +810,12 @@ class TestFormatDoubles:
     def assert_formats(values):
         values = np.asarray(values, dtype=np.float64)
         with np.errstate(all="raise"):
-            text = _format_doubles(values)
-        assert text.dtype == np.dtype("S24")
-        assert text.tolist() == percent_e(values)
+            text, padded = _format_doubles(values)
+        # Each row is right-aligned after zero bytes; an unpadded column has
+        # none, and every text in it is 22 bytes.
+        assert text.dtype == np.uint8 and text.shape == (len(values), 24 if padded else 22)
+        assert padded or text.all()
+        assert [row.tobytes().lstrip(b"\0") for row in text] == percent_e(values)
 
     def test_uniform(self):
         self.assert_formats(np.random.default_rng(1).uniform(0.01, 100, 100_000))
@@ -897,6 +901,112 @@ class TestIntegerColumns:
 
     def test_with_a_negative_value(self, tmp_path):
         self.assert_written(tmp_path, self.VALUES + [-7])
+
+
+def csv_fields(columns):
+    """The rows of ``columns`` as ``csv_body`` takes them: doubles as floats,
+    integers and bytes as text."""
+    def field(v):
+        if isinstance(v, np.floating):
+            return float(v)
+        return v.decode() if isinstance(v, bytes) else str(v)
+
+    return [[field(v) for v in row] for row in zip(*map(np.atleast_1d, columns))]
+
+
+def spy_drops(first_fields):
+    """Patch ``cli._drop_padding`` to append the first field of the first
+    row of each block whose padding it drops to ``first_fields``."""
+    drop = cli._drop_padding
+
+    def spy(lines):
+        first_fields.append(lines[0].tobytes().split(b",")[0].lstrip(b"\0"))
+        return drop(lines)
+
+    return mock.patch.object(cli, "_drop_padding", spy)
+
+
+_DOUBLES = np.random.default_rng(9).uniform(0.01, 100, 40)
+
+
+def _with(value):
+    """``_DOUBLES`` with its 18th value replaced by ``value``."""
+    column = _DOUBLES.copy()
+    column[17] = value
+    return column
+
+
+class TestWritePaths:
+    """``_write_csv`` writes a block of fields that all have one width each
+    as it is, and drops the zero bytes of a block with a padded field: a
+    negative double, a double outside (1e-6, 1e16), a count column whose
+    values do not all have one number of digits or short bytes.  Both give
+    the ``csv.writer`` body."""
+
+    @pytest.mark.parametrize(
+        "columns, padded",
+        [
+            ((np.arange(1000, 1040), _DOUBLES, _DOUBLES[::-1], np.array([b"C1", b"C5"] * 20)),
+             False),
+            ((np.arange(40), _with(-_DOUBLES[17])), True),
+            *[((np.arange(40), _with(v)), True)
+              for v in (0.0, -0.0, np.inf, np.nan, 5e-324, 1e-7, 1e16, 1e300)],
+            ((np.array([9998, 9999, 10000, 10001, 99998, 99999, 100000, 100001]),
+              np.zeros(8, np.int64), _DOUBLES[:8]), True),
+            ((np.zeros(8, np.int64), _DOUBLES[:8]), False),
+            ((b"optimal", 0.0123, 412.5, 7.5, 12.25, 30.0, 5.5, 10.0, 25.0), False),
+            ((b"infeasible",) + (b"",) * 8, True),
+            ((3, 2, 1, 0, 401.25), False),
+        ],
+        ids=["positive doubles, equal-width counts", "one negative double",
+             "0.0", "-0.0", "inf", "nan", "5e-324", "1e-7", "1e16", "1e300",
+             "counts gain digits", "zeros", "optimize row", "infeasible row",
+             "summary row"],
+    )
+    def test_block_equals_csv_writer(self, tmp_path, columns, padded):
+        path = tmp_path / "block.csv"
+        header = [f"c{k}" for k in range(len(columns))]
+        dropped = []
+        with spy_drops(dropped):
+            cli._write_csv(str(path), "# block", header, [columns])
+        assert raw_body(path) == csv_body(header, csv_fields(columns))
+        assert len(dropped) == padded
+
+    def test_fig3_trace_drops_where_step_count_gains_a_digit(self, tmp_path, fig3):
+        # Blocks of 100 rounds (300 steps) of fig3, whose loads and powers are
+        # positive doubles in (1e-6, 1e16): only the blocks in which the step
+        # count gains a digit, steps 1-300 and 901-1200, have a padded field.
+        out, dropped = tmp_path / "t.csv", []
+        args = ["simulate", "--scenario", "paper-fig3", "--kmax", "3000", "--seed", "5",
+                "--trace", str(out), "--out", str(tmp_path / "s.csv")]
+        with spy_drops(dropped), mock.patch.object(distributed, "_REPLAY_ROUNDS", 100):
+            assert main(args) == 0
+        assert dropped == [b"1", b"901"]
+        trace = run_protocol(fig3, ProtocolConfig(dx=1e-3, k_max=3000, seed=5))
+        assert raw_body(out) == TestParallelWriter.trace_body(fig3, trace)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(wide_systems(), st.data(), st.floats(-9.0, 0.0), st.integers(50, 300),
+           st.integers(min_value=0))
+    def test_wide_range_trace_equals_oracle(self, system, data, u, k_max, seed):
+        # simulate --trace over wide ranges, whose loads and powers reach
+        # outside (1e-6, 1e16): demands 30-90% of the power at the drawn
+        # loads, and dx from 1e-9 to 1 of the largest x_max.
+        scenario, loads = system
+        powers = solve_closed_form(scenario, loads).p
+        receivers = tuple(replace(rec, p_min=data.draw(st.floats(0.3, 0.9)) * p)
+                          for rec, p in zip(scenario.receivers, powers))
+        dx = 10.0**u * max(rec.x_max for rec in receivers)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "t.csv")
+            save_scenario(replace(scenario, receivers=receivers), path)
+            scenario = load_scenario(path)
+            trace = run_protocol(scenario, ProtocolConfig(dx=dx, k_max=k_max, seed=seed))
+            code = main(["simulate", "--scenario", path, "--dx", repr(dx), "--kmax", str(k_max),
+                         "--seed", str(seed), "--trace", out,
+                         "--out", os.path.join(tmp, "s.csv")])
+            assert code == (0 if trace.feasible else 1)
+            assert raw_body(out) == TestParallelWriter.trace_body(scenario, trace)
 
 
 class TestVerifyCommand:

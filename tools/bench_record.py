@@ -48,6 +48,14 @@ seed<S>-trace0.json``, at most the first 20 operations), named for
 ``cli`` by its operations and numbered for the other workloads; so a
 single operation, such as ``cli``'s verify, has a figure from every run
 and not just from the one traced run.
+For ``cli``, each untraced run also records, as ``body_sha256``, the
+sha256 of the body (the bytes after the manifest line) of each of the
+files ``sweep.csv``, ``optimize.csv``, ``simulate.csv`` and ``trace.csv``
+that its last round left in ``.bench_out/cli-seed<S>/`` (None for a
+missing file), and the workload
+records as ``equal_body_pairs`` how many pairs wrote the same four bodies
+on both sides, so that a change that must keep every output
+byte-identical shows it.
 Each run is started with ``subprocess.Popen`` and reaped with
 ``os.wait4``, whose resource usage covers the benchmark
 process and every process it forked and waited for, so work and memory
@@ -74,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import importlib.util
 import io
 import json
@@ -102,6 +111,8 @@ PAIRS = 10
 IMPORTS = 15
 # The operations of one round, in the order the benchmark times them.
 OP_NAMES = {"cli": ("sweep", "optimize", "simulate", "verify", "replay")}
+# The CSV files that a round of the cli workload leaves in its output directory.
+CLI_OUTPUTS = ("sweep", "optimize", "simulate", "trace")
 # Prints "import <s>", then "N=3 <s>" and "N=8 <s>", the first one-step
 # run of the step engine at N = 3 (fig3) and at N = 8 (a seeded draw).
 _TIME_FIRST_USE = """\
@@ -185,10 +196,21 @@ def first_use_ms(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
             for side, named in times.items()}
 
 
+def body_sha256(path: Path) -> str | None:
+    """The sha256 of an output file's body, the bytes after its manifest
+    line, or None if there is no file."""
+    if not path.exists():
+        return None
+    with open(path, "rb") as fh:
+        fh.readline()
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one benchmark run in ``tree``, with the ``cpu_s``
     and ``tree_peak_rss_mb`` of the run's own process tree and, untraced, the
-    first round's operation times."""
+    first round's operation times and, for ``cli``, the sha256 of the body of
+    each CSV file that its last round wrote."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -207,6 +229,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int =
     if not trace:  # an untraced run's record keeps its first round's operation times
         result = tree / ".bench_out" / f"result-{workload}-seed{seed}-trace0.json"
         line["first_round_op_s"] = json.loads(result.read_text())["raw"]["first_round_op_s"]
+        if workload == "cli":
+            out = tree / ".bench_out" / f"cli-seed{seed}"
+            line["body_sha256"] = {name: body_sha256(out / f"{name}.csv") for name in CLI_OUTPUTS}
     return line
 
 
@@ -223,7 +248,8 @@ def op_times(workload: str, runs: list[dict]) -> dict:
 
 
 def summarize(spec: dict, workload: str, runs: dict[str, list[dict]]) -> dict:
-    """Per-metric medians and quartiles of both sides, and pairs won."""
+    """Per-metric medians and quartiles of both sides, pairs won and, for
+    ``cli``, the pairs whose two sides wrote the same CSV bodies."""
     metrics = {}
     for m in spec["end_to_end"]:
         name = m["name"]
@@ -241,8 +267,11 @@ def summarize(spec: dict, workload: str, runs: dict[str, list[dict]]) -> dict:
             "change_won_pairs": wins,
             "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
         }
+    bodies = [(p.get("body_sha256"), c.get("body_sha256"))
+              for p, c in zip(runs["parent"], runs["change"])]
     return {
         "metrics": metrics,
+        "equal_body_pairs": sum(p == c for p, c in bodies) if bodies[0][0] else None,
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
